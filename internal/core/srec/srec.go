@@ -120,10 +120,11 @@ type Result struct {
 	DistCalls int64
 }
 
-// Run executes the kernel. Harness phases: "correspondence" (k-d tree
-// nearest-neighbor matching), "matrix" (cross-covariance, the 4×4
-// eigenproblem, and transform composition), "apply" (transforming the source
-// cloud).
+// Run executes the kernel. Harness phases: "correspondence" (building the
+// k-d tree over the target cloud and nearest-neighbor matching), "matrix"
+// (target normals for point-to-plane, cross-covariance, the 4×4
+// eigenproblem, and transform composition), "apply" (transforming the
+// source cloud).
 func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -131,6 +132,38 @@ func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error)
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
 	}
+	target, source, view, err := scans(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	res := Result{SourcePoints: source.Len(), TargetPoints: target.Len()}
+
+	prof.BeginROI()
+
+	// Build the target index once; ICP queries it every iteration.
+	prof.Begin("correspondence")
+	tree := kdtree.Build(3, target.Coords(), nil)
+	prof.End()
+
+	// Point-to-plane needs target surface normals (oriented toward the
+	// first camera).
+	var normals []geom.Vec3
+	if cfg.Method == PointToPlane {
+		prof.Begin("matrix")
+		normals = target.EstimateNormals(12, view)
+		prof.End()
+	}
+
+	err = align(ctx, cfg, prof, tree, target, source, normals, &res)
+	prof.EndROI()
+	res.DistCalls = tree.DistCalls
+	return res, err
+}
+
+// scans renders the kernel's two noisy depth scans of the room: the target
+// and the source to register onto it, both in world coordinates. view is
+// the target camera's position.
+func scans(cfg Config) (target, source *pointcloud.Cloud, view geom.Vec3, err error) {
 	room := cfg.Room
 	if room == nil {
 		room = pointcloud.NewRoom(6, 5, 2.8, 8, cfg.Seed)
@@ -153,8 +186,8 @@ func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error)
 		MaxRange: 10,
 	}
 
-	target := room.Scan(camA)
-	source := room.Scan(camB)
+	target = room.Scan(camA)
+	source = room.Scan(camB)
 	target.AddNoise(r, cfg.SensorNoise)
 	source.AddNoise(r, cfg.SensorNoise)
 	if cfg.VoxelSize > 0 {
@@ -162,34 +195,22 @@ func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error)
 		source = source.VoxelDownsample(cfg.VoxelSize)
 	}
 	if source.Len() == 0 || target.Len() == 0 {
-		return Result{}, errors.New("srec: empty scan; camera saw nothing")
+		return nil, nil, geom.Vec3{}, errors.New("srec: empty scan; camera saw nothing")
 	}
+	return target, source, camA.Pose.T, nil
+}
 
-	res := Result{SourcePoints: source.Len(), TargetPoints: target.Len()}
-	method := cfg.Method
-	if method == "" {
-		method = PointToPoint
-	}
+// nearester is the correspondence search over the target cloud, payload =
+// target point index: a *kdtree.Tree in Run; a test substitutes one that
+// cross-checks every query.
+type nearester interface {
+	Nearest(q []float64) (payload int, sqDist float64, ok bool)
+}
 
-	prof.BeginROI()
-
-	// Build the target index once; ICP queries it every iteration.
-	prof.Begin("correspondence")
-	tree := kdtree.New(3, nil)
-	for i, p := range target.Points {
-		tree.Insert([]float64{p.X, p.Y, p.Z}, i)
-	}
-	prof.End()
-
-	// Point-to-plane needs target surface normals (oriented toward the
-	// first camera).
-	var normals []geom.Vec3
-	if method == PointToPlane {
-		prof.Begin("matrix")
-		normals = target.EstimateNormals(12, camA.Pose.T)
-		prof.End()
-	}
-
+// align runs the ICP iterations, registering source onto target through
+// idx, and records the outcome in res.
+func align(ctx context.Context, cfg Config, prof *profile.Profile, idx nearester,
+	target, source *pointcloud.Cloud, normals []geom.Vec3, res *Result) error {
 	// Both clouds are in world coordinates, so the true alignment is the
 	// identity; ICP starts from a deliberately wrong initial guess and must
 	// iterate back. Accumulate the total correction in `total`.
@@ -203,10 +224,10 @@ func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error)
 	maxD2 := cfg.MaxPairDist * cfg.MaxPairDist
 	prevErr := math.Inf(1)
 	q := make([]float64, 3)
+	pairs := make([]pair, 0, moving.Len())
 	for iter := 0; iter < cfg.Iterations; iter++ {
 		if err := ctx.Err(); err != nil {
-			prof.EndROI()
-			return res, err
+			return err
 		}
 		res.Iterations = iter + 1
 
@@ -225,18 +246,9 @@ func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error)
 
 		// -- Correspondence: nearest target point per source point.
 		prof.Begin("correspondence")
-		pairs := make([]pair, 0, moving.Len())
 		var errSum float64
-		for i, p := range moving.Points {
-			q[0], q[1], q[2] = p.X, p.Y, p.Z
-			idx, d2, ok := tree.Nearest(q)
-			res.NNQueries++
-			if !ok || d2 > maxD2 {
-				continue
-			}
-			pairs = append(pairs, pair{i, idx})
-			errSum += d2
-		}
+		pairs, errSum = correspond(idx, moving, maxD2, q, pairs[:0])
+		res.NNQueries += int64(moving.Len())
 		prof.End()
 		if len(pairs) < 3 {
 			break
@@ -246,7 +258,7 @@ func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error)
 		// -- Transform estimation.
 		prof.Begin("matrix")
 		var step pointcloud.Rigid
-		if method == PointToPlane {
+		if cfg.Method == PointToPlane {
 			var perr error
 			step, perr = planeStep(moving, target, normals, pairs)
 			if perr != nil {
@@ -272,14 +284,30 @@ func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error)
 		}
 		prevErr = meanErr
 	}
-	prof.EndROI()
 
-	res.DistCalls = tree.DistCalls
 	res.RMSE = math.Sqrt(math.Max(prevErr, 0))
 	// The true alignment is identity, so `total` should be ≈ identity.
 	res.RotationError = rotationAngle(total.R)
 	res.TranslationError = total.T.Norm()
-	return res, nil
+	return nil
+}
+
+// correspond matches every moving point to its nearest target point and
+// appends the matches within squared distance maxD2 to pairs, returning
+// them with the sum of their squared distances. q is 3-float query scratch;
+// with pairs' capacity reused, a pass allocates nothing.
+func correspond(idx nearester, moving *pointcloud.Cloud, maxD2 float64, q []float64, pairs []pair) ([]pair, float64) {
+	var errSum float64
+	for i, p := range moving.Points {
+		q[0], q[1], q[2] = p.X, p.Y, p.Z
+		t, d2, ok := idx.Nearest(q)
+		if !ok || d2 > maxD2 {
+			continue
+		}
+		pairs = append(pairs, pair{i, t})
+		errSum += d2
+	}
+	return pairs, errSum
 }
 
 // pair links a source (moving) point index to its matched target index.

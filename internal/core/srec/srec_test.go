@@ -2,8 +2,10 @@ package srec
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"repro/internal/kdtree"
 	"repro/internal/profile"
 )
 
@@ -137,5 +139,80 @@ func TestConvergenceStopsEarly(t *testing.T) {
 	}
 	if res.Iterations >= 500 {
 		t.Fatalf("never converged in %d iterations", res.Iterations)
+	}
+}
+
+// crossCheck answers correspondence queries from a Build-built tree and
+// checks each one against an Insert-built tree of the same target cloud.
+type crossCheck struct {
+	built, inserted *kdtree.Tree
+	queries         int
+	mismatches      int
+	first           string
+}
+
+func (c *crossCheck) Nearest(q []float64) (int, float64, bool) {
+	p, d2, ok := c.built.Nearest(q)
+	ip, id2, iok := c.inserted.Nearest(q)
+	c.queries++
+	if p != ip || d2 != id2 || ok != iok {
+		if c.mismatches == 0 {
+			c.first = fmt.Sprintf("query %d at %v: built (%d, %v, %v), inserted (%d, %v, %v)",
+				c.queries, q, p, d2, ok, ip, id2, iok)
+		}
+		c.mismatches++
+	}
+	return p, d2, ok
+}
+
+// TestBuiltIndexMatchesInserted: the digest depends on every correspondence,
+// so over a full SizeDefault seed-1 registration the balanced tree must
+// return exactly the (payload, d²) the point-by-point insertion tree does —
+// and Run, which uses the balanced tree, must land on the pinned result.
+func TestBuiltIndexMatchesInserted(t *testing.T) {
+	cfg := DefaultConfig()
+	target, source, _, err := scans(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inserted := kdtree.New(3, nil)
+	for i, p := range target.Points {
+		inserted.Insert([]float64{p.X, p.Y, p.Z}, i)
+	}
+	cc := &crossCheck{built: kdtree.Build(3, target.Coords(), nil), inserted: inserted}
+	var got Result
+	if err := align(context.Background(), cfg, nil, cc, target, source, nil, &got); err != nil {
+		t.Fatal(err)
+	}
+	if cc.mismatches != 0 {
+		t.Fatalf("%d of %d correspondence queries differ; first: %s", cc.mismatches, cc.queries, cc.first)
+	}
+	if int64(cc.queries) != got.NNQueries {
+		t.Fatalf("cross-checked %d queries, registration counted %d", cc.queries, got.NNQueries)
+	}
+	perQuery := func(tr *kdtree.Tree) float64 { return float64(tr.DistCalls) / float64(cc.queries) }
+	t.Logf("distance evaluations per query: built %.1f, inserted %.1f", perQuery(cc.built), perQuery(inserted))
+	if perQuery(cc.built) > 80 {
+		t.Errorf("built tree evaluates %.1f distances per query, want <= 80", perQuery(cc.built))
+	}
+
+	res, err := Run(context.Background(), cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Result{
+		RMSE: 0.027967908612138853, RotationError: 0.012959558218326839,
+		TranslationError: 0.047216382321103936, Iterations: 30, NNQueries: 576000,
+	}
+	for _, r := range []Result{got, res} {
+		if r.RMSE != want.RMSE || r.RotationError != want.RotationError ||
+			r.TranslationError != want.TranslationError ||
+			r.Iterations != want.Iterations || r.NNQueries != want.NNQueries {
+			t.Fatalf("registration = rmse %v rot %v trans %v iters %d queries %d, want %+v",
+				r.RMSE, r.RotationError, r.TranslationError, r.Iterations, r.NNQueries, want)
+		}
+	}
+	if res.DistCalls != cc.built.DistCalls {
+		t.Fatalf("Run reports %d distance evaluations, the built tree took %d", res.DistCalls, cc.built.DistCalls)
 	}
 }

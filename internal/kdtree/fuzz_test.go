@@ -30,10 +30,12 @@ func buildPair(seed int64, dim, n int) (*Tree, *Linear, [][]float64) {
 }
 
 // FuzzKDTreeNearest differentially checks Tree against the brute-force
-// Linear oracle: nearest distances must match exactly (payloads may differ
-// only on exact ties), Radius must return the same payload set, and KNearest
-// distances must match the sorted brute-force distance list. scripts/ci.sh
-// runs this fuzz target briefly under -race as a smoke test.
+// Linear oracle, for a tree grown by Insert, for the same points indexed by
+// Build, and for that built tree after one more Insert: nearest distances
+// must match exactly (payloads may differ only on exact ties), Radius must
+// return the same payload set, and KNearest distances must match the sorted
+// brute-force distance list. scripts/ci.sh runs this fuzz target briefly
+// under -race as a smoke test.
 func FuzzKDTreeNearest(f *testing.F) {
 	f.Add(int64(1), uint8(2), uint8(16))
 	f.Add(int64(42), uint8(1), uint8(3))
@@ -43,76 +45,99 @@ func FuzzKDTreeNearest(f *testing.F) {
 		dim := int(dimB)%4 + 1
 		n := int(nB)%64 + 1
 		tr, ln, pts := buildPair(seed, dim, n)
+		checkAgainstLinear(t, "inserted", tr, ln, pts, seed)
 
-		r := rng.New(seed ^ 0x5eed)
-		q := make([]float64, dim)
-		for trial := 0; trial < 8; trial++ {
-			if trial < len(pts) {
-				copy(q, pts[trial]) // exact hits: distance 0, forced ties
-			} else {
-				for d := range q {
-					q[d] = r.Uniform(-5, 5)
-				}
-			}
+		var coords []float64
+		for _, p := range pts {
+			coords = append(coords, p...)
+		}
+		built := Build(dim, coords, nil)
+		checkAgainstLinear(t, "built", built, ln, pts, seed)
 
-			// Nearest: the squared distance is uniquely defined even when
-			// the argmin is not.
-			tp, td, tok := tr.Nearest(q)
-			lp, ld, lok := ln.Nearest(q)
-			if tok != lok {
-				t.Fatalf("Nearest ok mismatch: tree %v, linear %v", tok, lok)
-			}
-			if td != ld {
-				t.Fatalf("Nearest distance mismatch: tree %v (payload %d), linear %v (payload %d)", td, tp, ld, lp)
-			}
-			if SqEuclidean(pts[tp], q) != td {
-				t.Fatalf("Nearest payload %d does not realize reported distance %v", tp, td)
-			}
+		// A later Insert must respect the built tree's split invariant. The
+		// extra point is drawn from the same lattice, so it often ties.
+		extra := append([]float64(nil), pts[int(uint64(seed)%uint64(n))]...)
+		extra[0] += 0.5
+		built.Insert(extra, n)
+		ln.Insert(extra, n)
+		pts = append(pts, extra)
+		checkAgainstLinear(t, "built+insert", built, ln, pts, seed)
+	})
+}
 
-			// Radius: identical payload sets.
-			r2 := r.Uniform(0, 30)
-			got := append([]int(nil), tr.RadiusAppend(q, r2, nil)...)
-			want := ln.Radius(q, r2)
-			sort.Ints(got)
-			sort.Ints(want)
-			if len(got) != len(want) {
-				t.Fatalf("Radius size mismatch: tree %d, linear %d", len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("Radius payload sets differ at %d: tree %v, linear %v", i, got, want)
-				}
-			}
-
-			// KNearest: the sorted distance lists must agree with brute
-			// force even when tie-broken payloads differ.
-			k := int(r.Uniform(1, 9))
-			kn := tr.KNearestAppend(q, k, nil)
-			brute := make([]float64, len(pts))
-			for i, p := range pts {
-				brute[i] = SqEuclidean(p, q)
-			}
-			sort.Float64s(brute)
-			wantLen := k
-			if wantLen > len(pts) {
-				wantLen = len(pts)
-			}
-			if len(kn) != wantLen {
-				t.Fatalf("KNearest returned %d payloads, want %d", len(kn), wantLen)
-			}
-			prev := math.Inf(-1)
-			for i, p := range kn {
-				d := SqEuclidean(pts[p], q)
-				if d < prev {
-					t.Fatalf("KNearest not sorted: distance %v after %v", d, prev)
-				}
-				prev = d
-				if d != brute[i] {
-					t.Fatalf("KNearest rank %d distance %v, brute force %v", i, d, brute[i])
-				}
+// checkAgainstLinear runs 8 queries derived from seed against tr and the
+// oracle ln over the same points pts (payload = index into pts).
+func checkAgainstLinear(t *testing.T, label string, tr *Tree, ln *Linear, pts [][]float64, seed int64) {
+	t.Helper()
+	dim := len(pts[0])
+	r := rng.New(seed ^ 0x5eed)
+	q := make([]float64, dim)
+	for trial := 0; trial < 8; trial++ {
+		if trial < len(pts) {
+			copy(q, pts[trial]) // exact hits: distance 0, forced ties
+		} else {
+			for d := range q {
+				q[d] = r.Uniform(-5, 5)
 			}
 		}
-	})
+
+		// Nearest: the squared distance is uniquely defined even when
+		// the argmin is not.
+		tp, td, tok := tr.Nearest(q)
+		lp, ld, lok := ln.Nearest(q)
+		if tok != lok {
+			t.Fatalf("%s: Nearest ok mismatch: tree %v, linear %v", label, tok, lok)
+		}
+		if td != ld {
+			t.Fatalf("%s: Nearest distance mismatch: tree %v (payload %d), linear %v (payload %d)", label, td, tp, ld, lp)
+		}
+		if SqEuclidean(pts[tp], q) != td {
+			t.Fatalf("%s: Nearest payload %d does not realize reported distance %v", label, tp, td)
+		}
+
+		// Radius: identical payload sets.
+		r2 := r.Uniform(0, 30)
+		got := append([]int(nil), tr.RadiusAppend(q, r2, nil)...)
+		want := ln.Radius(q, r2)
+		sort.Ints(got)
+		sort.Ints(want)
+		if len(got) != len(want) {
+			t.Fatalf("%s: Radius size mismatch: tree %d, linear %d", label, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: Radius payload sets differ at %d: tree %v, linear %v", label, i, got, want)
+			}
+		}
+
+		// KNearest: the sorted distance lists must agree with brute
+		// force even when tie-broken payloads differ.
+		k := int(r.Uniform(1, 9))
+		kn := tr.KNearestAppend(q, k, nil)
+		brute := make([]float64, len(pts))
+		for i, p := range pts {
+			brute[i] = SqEuclidean(p, q)
+		}
+		sort.Float64s(brute)
+		wantLen := k
+		if wantLen > len(pts) {
+			wantLen = len(pts)
+		}
+		if len(kn) != wantLen {
+			t.Fatalf("%s: KNearest returned %d payloads, want %d", label, len(kn), wantLen)
+		}
+		prev := math.Inf(-1)
+		for i, p := range kn {
+			d := SqEuclidean(pts[p], q)
+			if d < prev {
+				t.Fatalf("%s: KNearest not sorted: distance %v after %v", label, d, prev)
+			}
+			prev = d
+			if d != brute[i] {
+				t.Fatalf("%s: KNearest rank %d distance %v, brute force %v", label, i, d, brute[i])
+			}
+		}
+	}
 }
 
 // TestAppendFormsReuseBuffer pins the allocation contract of the *Append

@@ -29,12 +29,17 @@ func SqEuclidean(a, b []float64) float64 {
 	return s
 }
 
-// Tree is a k-d tree with incremental insertion. Points are referenced by
-// the integer payload supplied at insert time (typically a node index in the
-// planner's own storage); the tree keeps its own copy of coordinates in a
-// flat arena (one []float64 for all points, indexed by insertion order), so
-// inserting amortizes to zero small-object allocations and point access is
-// cache-friendly during traversal.
+// Tree is a k-d tree, grown one point at a time by Insert or built balanced
+// over a static point set by Build. Points are referenced by an integer
+// payload (typically a node index in the planner's own storage); the tree
+// keeps its own copy of coordinates in a flat arena (one []float64 for all
+// points, indexed by node), so inserting amortizes to zero small-object
+// allocations and point access is cache-friendly during traversal.
+//
+// Every node splits on one axis with left < split <= right: a point goes
+// left exactly when its coordinate on the node's axis is below the node's.
+// Insert and Build both keep that invariant, so the queries, Clone and a
+// later Insert work the same on either kind of tree.
 type Tree struct {
 	dim    int
 	metric Metric
@@ -63,6 +68,141 @@ func New(dim int, metric Metric) *Tree {
 		metric = SqEuclidean
 	}
 	return &Tree{dim: dim, metric: metric, root: -1}
+}
+
+// Build returns a balanced tree over a static point set. coords is a flat
+// arena of len(coords)/dim points; point i gets payload i. Each node splits
+// its subset at the median on the axis of largest spread, with ties in
+// coordinate broken by point index, so the tree is a pure function of its
+// input. Nodes and arena are laid out in preorder (a node's left child is
+// the next node). The coordinates are copied. A nil metric defaults to
+// squared Euclidean distance.
+//
+// With distinct coordinates the depth is at most floor(log2 n)+1 whatever
+// the input order, whereas Insert of a raster-ordered depth scan grows long
+// chains that every query must walk.
+func Build(dim int, coords []float64, metric Metric) *Tree {
+	t := New(dim, metric)
+	if len(coords)%dim != 0 {
+		panic("kdtree: coordinate count is not a multiple of the dimension")
+	}
+	n := len(coords) / dim
+	if n == 0 {
+		return t
+	}
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	t.nodes = make([]node, 0, n)
+	t.pts = make([]float64, 0, len(coords))
+	b := buildState{t: t, coords: coords}
+	t.root = b.build(perm)
+	return t
+}
+
+// buildState holds the input arena while Build lays out the tree.
+type buildState struct {
+	t      *Tree
+	coords []float64
+}
+
+func (b *buildState) at(i, axis int) float64 { return b.coords[i*b.t.dim+axis] }
+
+// less orders points by coordinate on axis, then by index: a strict total
+// order, so the median of a subset is unique.
+func (b *buildState) less(i, j, axis int) bool {
+	ci, cj := b.at(i, axis), b.at(j, axis)
+	return ci < cj || (ci == cj && i < j)
+}
+
+// build appends the subtree over the points in perm to the tree in preorder
+// and returns its root node, or -1 for an empty subset. It reorders perm.
+func (b *buildState) build(perm []int) int {
+	if len(perm) == 0 {
+		return -1
+	}
+	axis := b.widestAxis(perm)
+	m := len(perm) / 2
+	b.selectNth(perm, m, axis)
+	// perm[:m] now precede the median. Those that tie it in coordinate must
+	// go right (left < split <= right), so the split point becomes the
+	// lowest-index point with the median coordinate.
+	split := b.at(perm[m], axis)
+	j := 0
+	for i := 0; i < m; i++ {
+		if b.at(perm[i], axis) < split {
+			perm[i], perm[j] = perm[j], perm[i]
+			j++
+		}
+	}
+	for i := j + 1; i <= m; i++ {
+		if perm[i] < perm[j] {
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+	}
+	t := b.t
+	p := perm[j]
+	idx := len(t.nodes)
+	t.nodes = append(t.nodes, node{payload: p, axis: axis})
+	t.pts = append(t.pts, b.coords[p*t.dim:(p+1)*t.dim]...)
+	left := b.build(perm[:j])
+	right := b.build(perm[j+1:])
+	t.nodes[idx].left, t.nodes[idx].right = left, right
+	return idx
+}
+
+// widestAxis returns the axis along which the points in perm spread the
+// most, the lowest such axis on a tie.
+func (b *buildState) widestAxis(perm []int) int {
+	best, bestSpread := 0, -1.0
+	for axis := 0; axis < b.t.dim; axis++ {
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for _, i := range perm {
+			v := b.at(i, axis)
+			lo = math.Min(lo, v)
+			hi = math.Max(hi, v)
+		}
+		if spread := hi - lo; spread > bestSpread {
+			best, bestSpread = axis, spread
+		}
+	}
+	return best
+}
+
+// selectNth reorders perm so that perm[k] is the point of rank k under less,
+// with lower-ranked points before it and higher-ranked ones after it
+// (quickselect, median-of-three pivot).
+func (b *buildState) selectNth(perm []int, k, axis int) {
+	lo, hi := 0, len(perm)-1
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if b.less(perm[mid], perm[lo], axis) {
+			perm[mid], perm[lo] = perm[lo], perm[mid]
+		}
+		if b.less(perm[hi], perm[lo], axis) {
+			perm[hi], perm[lo] = perm[lo], perm[hi]
+		}
+		if b.less(perm[mid], perm[hi], axis) {
+			perm[mid], perm[hi] = perm[hi], perm[mid]
+		}
+		pivot, s := perm[hi], lo
+		for i := lo; i < hi; i++ {
+			if b.less(perm[i], pivot, axis) {
+				perm[i], perm[s] = perm[s], perm[i]
+				s++
+			}
+		}
+		perm[s], perm[hi] = perm[hi], perm[s]
+		switch {
+		case k < s:
+			hi = s - 1
+		case k > s:
+			lo = s + 1
+		default:
+			return
+		}
+	}
 }
 
 // Len returns the number of points in the tree.

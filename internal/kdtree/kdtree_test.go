@@ -271,3 +271,104 @@ func TestCloneIndependent(t *testing.T) {
 		t.Fatal("clone query incremented the original's DistCalls")
 	}
 }
+
+// TestBuildShape pins Build's layout contract on raster-ordered input (the
+// worst case for Insert): nodes are in preorder (a left child is the next
+// node), every payload appears once at its own coordinates, the split
+// invariant holds, and the tree is a pure function of its input. With
+// distinct coordinates the depth is at most floor(log2 n)+1; heavy ties may
+// deepen the tree, since a tie with a split always goes right.
+func TestBuildShape(t *testing.T) {
+	const side = 37
+	n := side * side
+	for _, tc := range []struct {
+		name     string
+		at       func(x, y int) []float64
+		balanced bool
+	}{
+		{"distinct", func(x, y int) []float64 { return []float64{float64(x) + 0.01*float64(y), float64(y) + 0.01*float64(x)} }, true},
+		{"ties", func(x, y int) []float64 { return []float64{float64(x), float64(y % 5)} }, false},
+	} {
+		var coords []float64
+		for y := 0; y < side; y++ {
+			for x := 0; x < side; x++ {
+				coords = append(coords, tc.at(x, y)...)
+			}
+		}
+		tr := Build(2, coords, nil)
+		if tr.Len() != n || tr.root != 0 {
+			t.Fatalf("%s: Len = %d, root = %d; want %d, 0", tc.name, tr.Len(), tr.root, n)
+		}
+		depth := checkBuilt(t, tr, coords)
+		if limit := int(math.Log2(float64(n))) + 1; tc.balanced && depth > limit {
+			t.Fatalf("%s: depth %d > %d for %d points", tc.name, depth, limit, n)
+		}
+		again := Build(2, append([]float64(nil), coords...), nil)
+		for i := range tr.nodes {
+			if tr.nodes[i] != again.nodes[i] {
+				t.Fatalf("%s: rebuild differs at node %d: %+v vs %+v", tc.name, i, tr.nodes[i], again.nodes[i])
+			}
+		}
+	}
+}
+
+// checkBuilt walks a tree built from coords, checking the contract
+// TestBuildShape states, and returns its depth.
+func checkBuilt(t *testing.T, tr *Tree, coords []float64) int {
+	t.Helper()
+	dim := tr.dim
+	seen := make([]bool, tr.Len())
+	var walk func(idx, depth int, lo, hi []float64) int
+	walk = func(idx, depth int, lo, hi []float64) int {
+		if idx == -1 {
+			return depth
+		}
+		nd := tr.nodes[idx]
+		p := tr.pt(idx)
+		if seen[nd.payload] {
+			t.Fatalf("payload %d appears twice", nd.payload)
+		}
+		seen[nd.payload] = true
+		for d := range p {
+			if p[d] != coords[nd.payload*dim+d] {
+				t.Fatalf("node %d holds %v, not payload %d's point", idx, p, nd.payload)
+			}
+			if p[d] < lo[d] || p[d] >= hi[d] {
+				t.Fatalf("node %d at %v outside its cell [%v, %v)", idx, p, lo, hi)
+			}
+		}
+		if nd.left != -1 && nd.left != idx+1 {
+			t.Fatalf("node %d: left child %d is not the next node", idx, nd.left)
+		}
+		a := nd.axis
+		lhi := append([]float64(nil), hi...)
+		lhi[a] = p[a]
+		rlo := append([]float64(nil), lo...)
+		rlo[a] = p[a]
+		return max(walk(nd.left, depth+1, lo, lhi), walk(nd.right, depth+1, rlo, hi))
+	}
+	lo, hi := make([]float64, dim), make([]float64, dim)
+	for d := range lo {
+		lo[d], hi[d] = math.Inf(-1), math.Inf(1)
+	}
+	return walk(tr.root, 0, lo, hi)
+}
+
+func TestBuildEdgeCases(t *testing.T) {
+	empty := Build(3, nil, nil)
+	if _, _, ok := empty.Nearest([]float64{0, 0, 0}); ok || empty.Len() != 0 {
+		t.Fatal("Build of no points is not an empty tree")
+	}
+	coords := []float64{1, 2, 3, 4}
+	tr := Build(2, coords, nil)
+	coords[0] = 99 // Build copies
+	if id, d2, _ := tr.Nearest([]float64{1, 2}); id != 0 || d2 != 0 {
+		t.Fatalf("Nearest = (%d, %v), want (0, 0)", id, d2)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("coordinate count not a multiple of dim did not panic")
+		}
+	}()
+	Build(2, []float64{1, 2, 3}, nil)
+}

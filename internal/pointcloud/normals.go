@@ -17,17 +17,15 @@ import (
 // pipeline the paper's srec kernel follows — needs these normals on the
 // target cloud.
 func (c *Cloud) EstimateNormals(k int, viewpoint geom.Vec3) []geom.Vec3 {
-	n := c.Len()
-	normals := make([]geom.Vec3, n)
-	if n == 0 {
-		return normals
-	}
+	return c.normalsFrom(kdtree.Build(3, c.Coords(), nil), k, viewpoint)
+}
+
+// normalsFrom is EstimateNormals over a caller-built index of the cloud in
+// which point i carries payload i.
+func (c *Cloud) normalsFrom(tree *kdtree.Tree, k int, viewpoint geom.Vec3) []geom.Vec3 {
+	normals := make([]geom.Vec3, c.Len())
 	if k < 3 {
 		k = 3
-	}
-	tree := kdtree.New(3, nil)
-	for i, p := range c.Points {
-		tree.Insert([]float64{p.X, p.Y, p.Z}, i)
 	}
 	q := make([]float64, 3)
 	for i, p := range c.Points {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/kdtree"
 	"repro/internal/rng"
 )
 
@@ -81,6 +82,37 @@ func TestNormalsDegenerateClouds(t *testing.T) {
 	for _, n := range normals {
 		if math.Abs(n.Norm()-1) > 1e-9 {
 			t.Fatal("degenerate cloud normal not unit")
+		}
+	}
+}
+
+// TestNormalsBuiltIndexMatchesInserted: EstimateNormals indexes the cloud
+// with kdtree.Build; on the srec kernel's default target scan (room seed 1,
+// 160×120, 5 mm noise) its normals must be bit-identical to those from a
+// tree grown by Insert in scan order.
+func TestNormalsBuiltIndexMatchesInserted(t *testing.T) {
+	room := NewRoom(6, 5, 2.8, 8, 1)
+	cam := Camera{
+		Pose: FromEuler(0.6, 0, 0, geom.Vec3{X: 0.5, Y: 0.5, Z: 1.4}),
+		HFov: 1.2, VFov: 0.9,
+		Cols: 160, Rows: 120,
+		MaxRange: 10,
+	}
+	c := room.Scan(cam)
+	c.AddNoise(rng.New(1), 0.005)
+
+	inserted := kdtree.New(3, nil)
+	for i, p := range c.Points {
+		inserted.Insert([]float64{p.X, p.Y, p.Z}, i)
+	}
+	want := c.normalsFrom(inserted, 12, cam.Pose.T)
+	got := c.EstimateNormals(12, cam.Pose.T)
+	if len(got) != len(want) || len(got) != c.Len() {
+		t.Fatalf("%d normals from Build, %d from Insert, %d points", len(got), len(want), c.Len())
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("normal %d: built index %+v, inserted index %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -29,6 +29,16 @@ func (c *Cloud) Clone() *Cloud {
 	return out
 }
 
+// Coords returns the points as a flat x, y, z arena, the layout
+// kdtree.Build takes.
+func (c *Cloud) Coords() []float64 {
+	out := make([]float64, 0, 3*len(c.Points))
+	for _, p := range c.Points {
+		out = append(out, p.X, p.Y, p.Z)
+	}
+	return out
+}
+
 // Centroid returns the arithmetic mean of the points. The zero vector is
 // returned for an empty cloud.
 func (c *Cloud) Centroid() geom.Vec3 {

@@ -114,13 +114,16 @@ func TestConcurrentAccess(t *testing.T) {
 }
 
 // TestConcurrentEvictionChurnInvariants hammers the store with parallel
-// Put/Lookup/Get over a key space far larger than the bound, so eviction
-// churns constantly, and asserts the invariants that must survive any
+// Put/Lookup over a key space far larger than the bound, so eviction churns
+// constantly, and asserts the invariants that must survive any
 // interleaving: the entry count never exceeds the bound, the hit/miss
 // accounting exactly matches the Lookup outcomes the callers observed, a
 // hit's document always agrees with its digest (the stored doc is the
 // digest's doc, never a torn or foreign one), and a request key never
-// dangles (a Lookup hit implies the digest resolves via Get too).
+// dangles (checkInvariants, under the store's lock). A Lookup hit followed
+// by a Get of its digest is no such invariant: another goroutine's Put may
+// evict the digest in between. Failures do not leave the loop, so every
+// lookup is still counted.
 func TestConcurrentEvictionChurnInvariants(t *testing.T) {
 	const (
 		workers    = 8
@@ -140,21 +143,16 @@ func TestConcurrentEvictionChurnInvariants(t *testing.T) {
 				key, digest := fmt.Sprintf("r%d", n), fmt.Sprintf("d%d", n)
 				doc := []byte(fmt.Sprintf("doc-for-%s", digest))
 				s.Put(key, digest, doc)
+				checkInvariants(t, s)
 				// The bound holds at every instant, not just at the end.
 				if _, _, entries := s.Stats(); entries > maxEntries {
 					t.Errorf("entries = %d > bound %d mid-churn", entries, maxEntries)
-					return
 				}
 				d, got, ok := s.Lookup(key)
 				if ok {
 					hits.Add(1)
 					if want := fmt.Sprintf("doc-for-%s", d); string(got) != want {
 						t.Errorf("Lookup(%s) doc = %q, want %q (digest %s)", key, got, want, d)
-						return
-					}
-					if _, ok := s.Get(d); !ok {
-						t.Errorf("Lookup(%s) hit digest %s but Get missed: dangling index", key, d)
-						return
 					}
 				} else {
 					misses.Add(1)
@@ -163,6 +161,7 @@ func TestConcurrentEvictionChurnInvariants(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	checkInvariants(t, s)
 
 	gotHits, gotMisses, entries := s.Stats()
 	if entries > maxEntries {
@@ -174,6 +173,23 @@ func TestConcurrentEvictionChurnInvariants(t *testing.T) {
 	}
 	if total := gotHits + gotMisses; total != int64(workers*iters) {
 		t.Errorf("hit+miss = %d, want %d lookups", total, workers*iters)
+	}
+}
+
+// checkInvariants checks the store's index atomically, under its lock:
+// every request key resolves to a stored document, and the eviction order
+// lists exactly as many digests as are stored, within the bound.
+func checkInvariants(t *testing.T, s *Store) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for req, d := range s.byReq {
+		if _, ok := s.byDigest[d]; !ok {
+			t.Errorf("request key %s maps to evicted digest %s: dangling index", req, d)
+		}
+	}
+	if len(s.order) != len(s.byDigest) || len(s.byDigest) > s.max {
+		t.Errorf("len(order) = %d, len(byDigest) = %d, bound %d", len(s.order), len(s.byDigest), s.max)
 	}
 }
 

@@ -43,6 +43,9 @@ func init() {
 			res.Metrics["iterations"] = float64(kr.Iterations)
 			res.Metrics["nn_queries"] = float64(kr.NNQueries)
 			res.Metrics["source_points"] = float64(kr.SourcePoints)
+			// Substrate work per query; a property of the index, not of the
+			// registration, so it stays out of the digest.
+			res.Metrics["dist_calls"] = float64(kr.DistCalls)
 			return res, err
 		},
 	})

@@ -217,23 +217,25 @@ go test -run FuzzHistogram -fuzz FuzzHistogram -fuzztime 5s ./internal/obs
 
 echo "== benchdiff gate (interleaved A/A statistics + zero-alloc + ledger chain)"
 # The single perf regression gate. One -count 10 run of the hottest step
-# benchmarks is split sample-by-sample into two interleaved
+# benchmarks and of srec's correspondence pass is split sample-by-sample into two interleaved
 # rtrbench.bench/v2 half-snapshots (benchjson -split) — an A/A comparison
 # on identical code where slow machine drift (thermal state, background
 # load) lands evenly on both halves instead of separating them.
 # cmd/benchdiff compares the halves with the Mann-Whitney U test and must
 # pass: the significance test plus the -threshold noise floor suppress
 # pure noise. The same invocation folds in the old alloc gate: -zeroalloc
-# pins the steady-state step benchmarks to exactly 0 allocs/op (the
-# benchmarks also assert this themselves via b.Fatalf), and any allocs/op
+# pins the steady-state step benchmarks and the correspondence pass to
+# exactly 0 allocs/op (the benchmarks also assert this themselves via
+# b.Fatalf), and any allocs/op
 # growth between the halves is a deterministic regression. Finally the
 # two snapshots are chained into a throwaway ledger and the hash chain
 # verified, exercising the append/verify path end to end.
 {
     go test -run '^$' -bench '^BenchmarkEKFSLAMStep$' -benchtime 10x -count 10 -benchmem ./internal/core/ekfslam
     go test -run '^$' -bench '^BenchmarkPFLStep$' -benchtime 10x -count 10 -benchmem ./internal/core/pfl
+    go test -run '^$' -bench '^BenchmarkICPCorrespondence$' -benchtime 10x -count 10 -benchmem ./internal/core/srec
 } | go run ./cmd/benchjson -date ci -goldens rtrbench/testdata/golden -split "$benchtmp/a.json,$benchtmp/b.json"
-go run ./cmd/benchdiff -threshold 10 -zeroalloc 'Step$' "$benchtmp/a.json" "$benchtmp/b.json"
+go run ./cmd/benchdiff -threshold 10 -zeroalloc 'Step$|Correspondence$' "$benchtmp/a.json" "$benchtmp/b.json"
 go run ./cmd/benchdiff -ledger append -ledger-file "$benchtmp/ledger.jsonl" -note "ci A" "$benchtmp/a.json"
 go run ./cmd/benchdiff -ledger append -ledger-file "$benchtmp/ledger.jsonl" -note "ci B" "$benchtmp/b.json"
 go run ./cmd/benchdiff -ledger verify -ledger-file "$benchtmp/ledger.jsonl"
