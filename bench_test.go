@@ -574,15 +574,15 @@ func BenchmarkProfileDisabledOverhead(b *testing.B) {
 }
 
 // BenchmarkWorkers measures the intra-kernel parallelism curve of the
-// kernels honoring Options.Workers. w0 is each kernel's legacy serial
-// algorithm; w1/w2/w4/w8 run the deterministic parallel algorithm with an
-// increasing goroutine budget (the results are identical across w1-w8 by
-// contract, so the per-op times isolate pure scheduling effect). On a
-// single-core host the w1-w8 curve is flat and the numbers record the
-// mechanism's overhead rather than a speedup; compare snapshots from a
-// multi-core host for the scaling picture.
+// kernels honoring Options.Workers (pfl and prm; the others ignore it, so
+// their rows would only time the serial kernel again). w0 is each kernel's
+// serial algorithm; w1/w2/w4/w8 run the deterministic parallel algorithm
+// with an increasing goroutine budget (the results are identical across
+// w1-w8 by contract, so the per-op times isolate pure scheduling effect).
+// On a single-core host the w1-w8 curve is flat and the numbers record the
+// mechanism's overhead rather than a speedup.
 func BenchmarkWorkers(b *testing.B) {
-	for _, kernel := range []string{"pfl", "ekfslam", "prm", "rrt", "rrtstar", "rrtpp"} {
+	for _, kernel := range []string{"pfl", "prm"} {
 		for _, w := range []int{0, 1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/w%d", kernel, w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

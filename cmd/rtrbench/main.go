@@ -146,7 +146,7 @@ var runners = map[string]runner{
 		h.fs.Float64Var(&cfg.Laser.MaxRange, "range", cfg.Laser.MaxRange, "laser max range, m")
 		h.fs.Float64Var(&cfg.StepLen, "steplen", cfg.StepLen, "commanded step length, m")
 		h.fs.IntVar(&cfg.InitFactor, "initfactor", cfg.InitFactor, "initial population over-provisioning")
-		h.fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "goroutines for the measurement update (0/1 = serial)")
+		h.fs.IntVar(&cfg.Workers, "workers", cfg.Workers, "0 = serial; >= 1 selects the parallel motion+weigh algorithm (its own digest) on up to this many goroutines")
 		h.fs.BoolVar(&cfg.LikelihoodField, "likelihoodfield", cfg.LikelihoodField, "use the likelihood-field sensor model (no ray casting)")
 		h.fs.Int64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
 		mapPath := h.fs.String("map", "", "Moving AI map file (default: synthetic building)")

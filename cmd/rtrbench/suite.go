@@ -25,7 +25,7 @@ func runSuite(args []string) error {
 		seed     = fs.Int64("seed", 1, "base random seed (trial t runs with seed+t)")
 		kernels  = fs.String("kernels", "", "comma-separated kernel subset (default: all 16)")
 		parallel = fs.Int("parallel", runtime.NumCPU(), "kernels running concurrently")
-		workers  = fs.Int("workers", 0, "intra-kernel worker goroutines for the kernels that support it (pfl, ekfslam, prm, rrt*); 0 = serial algorithms")
+		workers  = fs.Int("workers", 0, "intra-kernel worker goroutines for the kernels with a parallel path (pfl, prm); 0 = serial algorithms")
 		trials   = fs.Int("trials", 1, "measured runs per kernel")
 		warmup   = fs.Int("warmup", 0, "discarded runs per kernel before the trials")
 		timeout  = fs.Duration("timeout", 0, "per-run wall-clock budget (e.g. 30s); 0 = off")

@@ -48,13 +48,6 @@ type Config struct {
 	// and discarded.
 	GateAccept, GateNew float64
 	Seed                int64
-	// Workers bounds the goroutines used by the blocked parallel matrix
-	// products behind predict and update (mat.ParMulInto/ParTransposeInto).
-	// The blocked kernels accumulate in exactly the serial order, so every
-	// worker count — including 0, the serial default — produces bit-identical
-	// results; 0 additionally keeps the step allocation-free. See DESIGN.md
-	// "Intra-kernel parallelism".
-	Workers int
 }
 
 // DefaultConfig returns the paper-style setup: six landmarks, a circular
@@ -91,7 +84,6 @@ func (c Config) Validate() error {
 	f.NonNegative("MotionNoiseRot", c.MotionNoiseRot)
 	f.NonNegative("GateAccept", c.GateAccept)
 	f.NonNegative("GateNew", c.GateNew)
-	f.NonNegativeInt("Workers", c.Workers)
 	for i, lm := range c.Landmarks {
 		if !finite(lm.P.X) || !finite(lm.P.Y) {
 			f.Addf("Landmarks[%d] has non-finite position (%v, %v)", i, lm.P.X, lm.P.Y)
@@ -447,9 +439,9 @@ func (f *filter) predict(prof *profile.Profile) {
 	mu[2] = geom.NormalizeAngle(mu[2] + w*dt)
 
 	prof.Begin("matrix")
-	mat.ParMulInto(sc.gs, g, sigma, cfg.Workers)
-	mat.ParTransposeInto(sc.gt, g, cfg.Workers)
-	newSigma := mat.ParMulInto(sc.newSigma, sc.gs, sc.gt, cfg.Workers)
+	mat.MulInto(sc.gs, g, sigma)
+	mat.TransposeInto(sc.gt, g)
+	newSigma := mat.MulInto(sc.newSigma, sc.gs, sc.gt)
 	// Process noise enters only the pose block.
 	nt := cfg.MotionNoiseTrans * cfg.MotionNoiseTrans
 	nr := cfg.MotionNoiseRot * cfg.MotionNoiseRot
@@ -554,15 +546,14 @@ func (f *filter) update(j int, z sensor.RangeBearing, prof *profile.Profile) {
 	prof.End()
 
 	prof.Begin("matrix")
-	workers := f.cfg.Workers
-	mat.ParTransposeInto(sc.ht, h, workers)
-	sht := mat.ParMulInto(sc.sht, sigma, sc.ht, workers) // dim×2
-	mat.MulInto(sc.s, h, sht)                            // 2×2 innovation covariance
+	mat.TransposeInto(sc.ht, h)
+	sht := mat.MulInto(sc.sht, sigma, sc.ht) // dim×2
+	mat.MulInto(sc.s, h, sht)                // 2×2 innovation covariance
 	if !f.invertS() {
 		prof.End()
 		return // numerically degenerate observation; skip
 	}
-	k := mat.ParMulInto(sc.k, sht, sc.sInv, workers) // dim×2 Kalman gain
+	k := mat.MulInto(sc.k, sht, sc.sInv) // dim×2 Kalman gain
 
 	sc.innov[0] = z.Range - zhatR
 	sc.innov[1] = geom.NormalizeAngle(z.Bearing - zhatB)
@@ -572,7 +563,7 @@ func (f *filter) update(j int, z sensor.RangeBearing, prof *profile.Profile) {
 	}
 	mu[2] = geom.NormalizeAngle(mu[2])
 
-	kh := mat.ParMulInto(sc.kh, k, h, workers) // dim×dim
+	kh := mat.MulInto(sc.kh, k, h) // dim×dim
 	// ikh = I − KH, built in place in the gs scratch (idle outside predict).
 	ikh := sc.gs
 	for i := range ikh.Data {
@@ -581,7 +572,7 @@ func (f *filter) update(j int, z sensor.RangeBearing, prof *profile.Profile) {
 	for i := 0; i < dim; i++ {
 		ikh.Data[i*dim+i] += 1
 	}
-	newSigma := mat.ParMulInto(sc.newSigma, ikh, sigma, workers)
+	newSigma := mat.MulInto(sc.newSigma, ikh, sigma)
 	// The (I−KH)Σ form loses symmetry to floating-point error a little more
 	// each update, and asymmetry corrupts the Mahalanobis gating; re-impose
 	// Σ ← (Σ + Σᵀ)/2 before committing.

@@ -18,7 +18,6 @@ func init() {
 		configure: func(o Options) (ekfslam.Config, error) {
 			cfg := ekfslam.DefaultConfig()
 			cfg.Seed = o.seed()
-			cfg.Workers = o.Workers
 			if o.Size == SizeSmall {
 				cfg.Steps = 120
 			}

@@ -75,15 +75,15 @@ type Options struct {
 	// Result.Degraded, instead of failing with ctx.Err(). Kernels without a
 	// partial result to offer ignore it.
 	BestEffort bool
-	// Workers enables intra-kernel parallelism in the kernels that support
-	// it (pfl, ekfslam, prm, rrt, rrtstar, rrtpp); the rest ignore it. 0
-	// (the default) runs every kernel's legacy serial algorithm — the one
-	// the checked-in goldens record. Any Workers >= 1 selects the kernel's
-	// deterministic parallel algorithm: results depend only on the seed, and
-	// the worker count merely bounds goroutine concurrency, so workers 1 and
-	// 8 produce identical digests (`rtrbench verify -metamorphic` proves
-	// this). ekfslam's parallel matrix kernels are additionally bit-identical
-	// to its serial path. See DESIGN.md "Intra-kernel parallelism".
+	// Workers enables intra-kernel parallelism in the two kernels whose
+	// parallel path beats their serial one, pfl and prm; the other kernels
+	// ignore it. 0 (the default) runs every kernel's serial algorithm — the
+	// one the checked-in goldens record. Any Workers >= 1 selects the
+	// kernel's deterministic parallel algorithm, a different computation
+	// from the serial one with its own digest: results depend only on the
+	// seed, and the worker count merely bounds goroutine concurrency, so
+	// workers 1 and 8 produce identical digests (`rtrbench verify
+	// -metamorphic` proves this). See DESIGN.md "Intra-kernel parallelism".
 	Workers int
 }
 

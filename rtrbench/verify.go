@@ -249,11 +249,11 @@ func verifyMetamorphic(ctx context.Context, rep *VerifyReport, infos []Info, nam
 		appendMismatches(rep, "profile", seed, golden.Diff(instrumented, bare))
 	}
 
-	// Property 4: worker-count independence. The kernels with intra-kernel
-	// parallelism promise that every Options.Workers >= 1 selects the same
-	// deterministic parallel algorithm — partition counts and RNG
-	// sub-streams are fixed, the worker count only bounds goroutine
-	// concurrency — so Workers=1 and Workers=8 must digest identically.
+	// Property 4: worker-count independence. pfl and prm promise that every
+	// Options.Workers >= 1 selects the same deterministic parallel algorithm
+	// — pfl's per-particle RNG sub-streams and prm's slab partition are
+	// fixed, the worker count only bounds goroutine concurrency — so
+	// Workers=1 and Workers=8 must digest identically.
 	var parallelized []string
 	for _, info := range infos {
 		if workerKernels[info.Name] {
@@ -281,10 +281,7 @@ func verifyMetamorphic(ctx context.Context, rep *VerifyReport, infos []Info, nam
 // the metamorphic "workers" property runs on. The goldens themselves stay
 // pinned to the serial Workers=0 algorithms; this property is what covers
 // the parallel paths.
-var workerKernels = map[string]bool{
-	"pfl": true, "ekfslam": true, "prm": true,
-	"rrt": true, "rrtstar": true, "rrtpp": true,
-}
+var workerKernels = map[string]bool{"pfl": true, "prm": true}
 
 // runDigest executes one kernel run and digests it. A nil profile runs with
 // full instrumentation (step latency on, the heavier configuration); an

@@ -30,7 +30,7 @@ trap 'rm -f "$tmp"' EXIT
 echo "== Table 1 per-kernel benchmarks (16 kernels, -benchtime $bench_time, -count $bench_count)"
 go test -run '^$' -bench '^BenchmarkTable1_' -benchtime "$bench_time" -count "$bench_count" -benchmem . | tee -a "$tmp"
 
-echo "== intra-kernel workers sweep (pfl/ekfslam/prm/rrt* at 0/1/2/4/8 workers)"
+echo "== intra-kernel workers sweep (pfl/prm at 0/1/2/4/8 workers)"
 # The parallel-algorithm scaling curve: w0 is the serial baseline, w1-w8 the
 # deterministic parallel algorithm under growing goroutine budgets. The
 # sub-benchmark names land in the snapshot as Workers/<kernel>/w<N>, so

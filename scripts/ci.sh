@@ -54,13 +54,13 @@ go run -race ./cmd/rtrbench verify -parallel 1
 go run -race ./cmd/rtrbench verify -parallel 8 -metamorphic
 
 echo "== intra-kernel workers smoke (parallel algorithms, race detector)"
-# The Workers >= 1 code paths of pfl/ekfslam/prm/rrt/rrtstar/rrtpp under the
-# race detector. The workers=1-vs-8 digest equality itself rides the
-# -metamorphic verify stage above (its "workers" property); this stage is
-# what runs the partitioned growth, parallel weigh/motion, and blocked
-# matrix kernels with real goroutine interleavings.
+# The Workers >= 1 code paths of pfl and prm under the race detector. The
+# workers=1-vs-8 digest equality itself rides the -metamorphic verify stage
+# above (its "workers" property); this stage is what runs pfl's parallel
+# motion/weigh and prm's partitioned roadmap build with real goroutine
+# interleavings.
 go run -race ./cmd/rtrbench suite --size small --parallel 2 --workers 4 \
-    --kernels pfl,ekfslam,prm,rrt,rrtstar,rrtpp --timeout 120s
+    --kernels pfl,prm --timeout 120s
 
 echo "== streaming smoke (periodic real-time mode, race detector)"
 # The streaming tentpole end to end: pfl driven as a 2ms-period periodic
