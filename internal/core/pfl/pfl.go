@@ -209,9 +209,13 @@ type state struct {
 	scan         []float64
 	distField    []float64
 	shards       []wshard
+	// beamOff holds each beam's robot-frame angle (Laser.BeamAngle).
+	beamOff []float64
 
 	sigma2, zHit, randFloor float64
-	temper, decay           float64
+	// cutoff and logFloor are the exact far-tail shortcut of beamLogLik.
+	cutoff, logFloor float64
+	temper, decay    float64
 
 	res *Result
 }
@@ -284,6 +288,15 @@ func newState(cfg Config, res *Result) (*state, error) {
 			parts[i] = particle{pose: sampleFreePose(r, g)}
 		}
 	}
+	beamOff := make([]float64, cfg.Laser.NumBeams)
+	for b := range beamOff {
+		beamOff[b] = cfg.Laser.BeamAngle(b)
+	}
+	randFloor := zRand / cfg.Laser.MaxRange
+	// The far-tail cutoff (see beamLogLik). The half ulp is taken below
+	// randFloor, which is never larger than the one above it: a
+	// conservative bound that stays finite for every finite randFloor.
+	halfULP := (randFloor - math.Nextafter(randFloor, 0)) / 2
 	s := &state{
 		cfg:       cfg,
 		g:         g,
@@ -293,9 +306,12 @@ func newState(cfg Config, res *Result) (*state, error) {
 		spare:     make([]particle, cfg.Particles),
 		weights:   make([]float64, len(parts)),
 		scan:      make([]float64, cfg.Laser.NumBeams),
+		beamOff:   beamOff,
 		sigma2:    sigma * sigma,
 		zHit:      zHit,
-		randFloor: zRand / cfg.Laser.MaxRange,
+		randFloor: randFloor,
+		cutoff:    math.Log(halfULP/zHit) - 1,
+		logFloor:  math.Log(randFloor),
 		temper:    temper,
 		decay:     decay,
 		res:       res,
@@ -313,8 +329,43 @@ func newState(cfg Config, res *Result) (*state, error) {
 // parallel path (Workers > 0) produces bit-identical results for every
 // worker count. weigh only reads shared state (scan, map, config), so
 // shards may run it concurrently on disjoint sub-slices.
+//
+// The whole call is one profile phase ("raycast", or "weight" for the
+// likelihood-field ablation), not one per particle: a phase costs two clock
+// reads and a map lookup, and the per-beam likelihood is part of matching
+// the traverse against the scan.
 func (s *state) weigh(parts []particle, prof *profile.Profile) (raycasts, cells int64) {
 	cfg, g, scan := &s.cfg, s.g, s.scan
+	maxRange := cfg.Laser.MaxRange
+	if cfg.LikelihoodField {
+		// Ablation: score measured endpoints against the distance
+		// field — no map traversal at all.
+		prof.Begin("weight")
+		for i := range parts {
+			p := &parts[i]
+			if g.OccupiedWorld(p.pose.X, p.pose.Y) {
+				p.logw = math.Inf(-1)
+				continue
+			}
+			logw := 0.0
+			for b, off := range s.beamOff {
+				if scan[b] >= maxRange-1e-9 {
+					continue // max-range readings carry no endpoint
+				}
+				sin, cos := math.Sincos(p.pose.Theta + off)
+				cx, cy := g.WorldToCell(p.pose.X+scan[b]*cos, p.pose.Y+scan[b]*sin)
+				d := maxRange
+				if g.InBounds(cx, cy) {
+					d = s.distField[cy*g.W+cx] * g.Resolution
+				}
+				logw += s.beamLogLik(-d * d / (2 * s.sigma2))
+			}
+			p.logw += logw / s.temper
+		}
+		prof.End()
+		return 0, 0
+	}
+	prof.Begin("raycast")
 	for i := range parts {
 		p := &parts[i]
 		if g.OccupiedWorld(p.pose.X, p.pose.Y) {
@@ -322,42 +373,41 @@ func (s *state) weigh(parts []particle, prof *profile.Profile) (raycasts, cells 
 			continue
 		}
 		logw := 0.0
-		if cfg.LikelihoodField {
-			// Ablation: score measured endpoints against the
-			// distance field — no map traversal at all.
-			prof.Begin("weight")
-			for b := 0; b < cfg.Laser.NumBeams; b++ {
-				if scan[b] >= cfg.Laser.MaxRange-1e-9 {
-					continue // max-range readings carry no endpoint
-				}
-				theta := p.pose.Theta + cfg.Laser.BeamAngle(b)
-				exn, eyn := p.pose.X+scan[b]*math.Cos(theta), p.pose.Y+scan[b]*math.Sin(theta)
-				cx, cy := g.WorldToCell(exn, eyn)
-				d := cfg.Laser.MaxRange
-				if g.InBounds(cx, cy) {
-					d = s.distField[cy*g.W+cx] * g.Resolution
-				}
-				logw += math.Log(s.zHit*math.Exp(-d*d/(2*s.sigma2)) + s.randFloor)
-			}
-			p.logw += logw / s.temper
-			prof.End()
-			continue
-		}
-		prof.Begin("raycast")
-		for b := 0; b < cfg.Laser.NumBeams; b++ {
-			theta := p.pose.Theta + cfg.Laser.BeamAngle(b)
-			expected, n := g.RaycastCells(p.pose.X, p.pose.Y, theta, cfg.Laser.MaxRange)
-			raycasts++
+		for b, off := range s.beamOff {
+			expected, n := g.RaycastCells(p.pose.X, p.pose.Y, p.pose.Theta+off, maxRange)
 			cells += int64(n)
 			d := scan[b] - expected
-			logw += math.Log(s.zHit*math.Exp(-d*d/(2*s.sigma2)) + s.randFloor)
+			logw += s.beamLogLik(-d * d / (2 * s.sigma2))
 		}
-		prof.End()
-		prof.Begin("weight")
+		raycasts += int64(len(s.beamOff))
 		p.logw += logw / s.temper
-		prof.End()
 	}
+	prof.End()
 	return raycasts, cells
+}
+
+// beamLogLik returns the beam mixture log-likelihood
+// log(zHit·exp(e) + randFloor) for the Gaussian exponent e = −d²/(2σ²).
+//
+// Far in the tail it returns logFloor = log(randFloor) without evaluating
+// exp and log, and the shortcut is exact. Let h be half an ulp of randFloor
+// and cutoff = log(h/zHit) − 1. For e < cutoff the exact zHit·exp(e) is
+// below h/ℯ ≈ 0.37h; exp's error (under one ulp) and the product's rounding
+// change that by a relative 2⁻⁵¹ at most, so the computed addend is still
+// below h. An addend below half an ulp rounds away: zHit·exp(e) + randFloor
+// == randFloor bitwise, and its log is logFloor. A NaN exponent fails the
+// comparison and takes the full path.
+func (s *state) beamLogLik(e float64) float64 {
+	if e < s.cutoff {
+		return s.logFloor
+	}
+	return s.mixLogLik(e)
+}
+
+// mixLogLik is the full mixture log-likelihood, kept out of line so that
+// beamLogLik's far-tail shortcut inlines into the beam loop.
+func (s *state) mixLogLik(e float64) float64 {
+	return math.Log(s.zHit*math.Exp(e) + s.randFloor)
 }
 
 // step advances the simulation and the filter by one motion/measurement

@@ -2,9 +2,11 @@ package pfl
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/grid"
 	"repro/internal/profile"
 )
 
@@ -76,18 +78,29 @@ func TestSeedChangesRun(t *testing.T) {
 	}
 }
 
+// TestRaycastDominatesProfile pins the paper's attribution and the profile
+// granularity: one "raycast" phase per filter step (serial weigh, or the
+// Workers fan-out), never one per particle, and at least the paper's 67%.
 func TestRaycastDominatesProfile(t *testing.T) {
-	cfg := trackingConfig()
-	p := profile.New()
-	if _, err := Run(context.Background(), cfg, p); err != nil {
-		t.Fatal(err)
-	}
-	rep := p.Snapshot()
-	if rep.Dominant() != "raycast" {
-		t.Fatalf("dominant phase = %q, want raycast (paper: 67-78%%)", rep.Dominant())
-	}
-	if f := rep.Fraction("raycast"); f < 0.5 {
-		t.Fatalf("raycast fraction = %.2f, want > 0.5", f)
+	for _, workers := range []int{0, 2} {
+		cfg := trackingConfig()
+		cfg.Workers = workers
+		p := profile.New()
+		if _, err := Run(context.Background(), cfg, p); err != nil {
+			t.Fatal(err)
+		}
+		rep := p.Snapshot()
+		if rep.Dominant() != "raycast" {
+			t.Fatalf("workers=%d: dominant phase = %q, want raycast (paper: 67-78%%)", workers, rep.Dominant())
+		}
+		if f := rep.Fraction("raycast"); f < 0.67 {
+			t.Fatalf("workers=%d: raycast fraction = %.2f, want >= 0.67", workers, f)
+		}
+		for phase, want := range map[string]int64{"raycast": int64(cfg.Steps), "weight": int64(cfg.Steps)} {
+			if ph, _ := rep.Phase(phase); ph.Calls != want {
+				t.Fatalf("workers=%d: %s phase calls = %d, want %d (one per step)", workers, phase, ph.Calls, want)
+			}
+		}
 	}
 }
 
@@ -236,6 +249,11 @@ func TestLikelihoodFieldAblation(t *testing.T) {
 	if rep.Fraction("weight") <= 0 {
 		t.Fatal("weight phase missing")
 	}
+	// One weight phase for the endpoint scoring of each weigh call and
+	// one for each normalize.
+	if ph, _ := rep.Phase("weight"); ph.Calls != int64(2*cfg.Steps) {
+		t.Fatalf("weight phase calls = %d, want %d", ph.Calls, 2*cfg.Steps)
+	}
 }
 
 func TestCountersPopulated(t *testing.T) {
@@ -245,5 +263,76 @@ func TestCountersPopulated(t *testing.T) {
 	}
 	if res.Raycasts == 0 || res.CellsVisited <= res.Raycasts {
 		t.Fatalf("raycasts=%d cells=%d", res.Raycasts, res.CellsVisited)
+	}
+}
+
+// TestFarTailShortcutExact checks that beamLogLik's far-tail shortcut is
+// exact: wherever it returns logFloor, the full mixture
+// log(zHit·exp(e) + randFloor) evaluates to the same bits. It covers the
+// default likelihood and four other (ZHit, ZRand, MaxRange, ModelSigma)
+// settings, exponents densely sampled just below the cutoff and far out to
+// -1e6, and exponents from the beam residuals weigh actually produces.
+func TestFarTailShortcutExact(t *testing.T) {
+	def := DefaultConfig()
+	settings := []struct{ zHit, zRand, maxRange, sigma float64 }{
+		{def.ZHit, def.ZRand, def.Laser.MaxRange, def.ModelSigma},
+		{0.5, 0.5, 10, 0.2},
+		{0.99, 0.01, 30, 1},
+		{0.7, 0.3, 4, 0.05},
+		{1, 1e-3, 100, 2.5},
+	}
+	for _, st := range settings {
+		cfg := DefaultConfig()
+		cfg.Map = grid.NewGrid2D(8, 8)
+		cfg.Particles, cfg.InitFactor = 1, 1
+		cfg.ZHit, cfg.ZRand, cfg.Laser.MaxRange, cfg.ModelSigma = st.zHit, st.zRand, st.maxRange, st.sigma
+		s, err := newState(cfg, &Result{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		randFloor := st.zRand / st.maxRange
+		full := func(e float64) float64 { return math.Log(st.zHit*math.Exp(e) + randFloor) }
+		if math.IsInf(s.cutoff, 0) || math.IsNaN(s.cutoff) || s.cutoff > -10 {
+			t.Fatalf("%+v: cutoff %v is not a finite far-tail exponent", st, s.cutoff)
+		}
+		check := func(e float64) {
+			got, want := s.beamLogLik(e), full(e)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%+v: beamLogLik(%v) = %v, full mixture %v (cutoff %v)", st, e, got, want, s.cutoff)
+			}
+			if e < s.cutoff {
+				// The half-ulp argument itself: the addend rounds away.
+				// This is stricter than equal logs, which log's own
+				// rounding can make agree on a one-ulp sum difference.
+				if sum := st.zHit*math.Exp(e) + randFloor; sum != randFloor {
+					t.Fatalf("%+v: e=%v below the cutoff, but zHit*exp(e)+randFloor = %v, not randFloor %v", st, e, sum, randFloor)
+				}
+				if got != s.logFloor {
+					t.Fatalf("%+v: e=%v below the cutoff did not take the shortcut", st, e)
+				}
+			}
+		}
+		// Densely in [cutoff-5, cutoff), including the largest exponent
+		// below the cutoff.
+		check(math.Nextafter(s.cutoff, math.Inf(-1)))
+		const dense = 200000
+		for k := 1; k <= dense; k++ {
+			check(s.cutoff - 5*float64(k)/dense)
+		}
+		// Far out: geometric steps down to -1e6, then past it.
+		for e := s.cutoff - 5; e > -1e6; e *= 1.01 {
+			check(e)
+		}
+		check(-1e6)
+		check(math.Inf(-1))
+		// Above the cutoff the full mixture runs.
+		check(s.cutoff + 1)
+		check(s.cutoff)
+		// Residuals d = scan - expected as weigh forms the exponent, over
+		// the whole range of ray-cast distances.
+		for k := 0; k <= 10000; k++ {
+			d := st.maxRange * float64(k) / 10000
+			check(-d * d / (2 * s.sigma2))
+		}
 	}
 }

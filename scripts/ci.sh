@@ -209,23 +209,27 @@ echo "== fuzz smoke"
 # corpora under testdata/fuzz/ already ran as regular tests above. The
 # kdtree differential target runs under the race detector: its oracle
 # comparison is exactly the kind of traversal code where a data race in the
-# shared candidate heap would hide.
+# shared candidate heap would hide. The raycast differential target checks
+# the countdown DDA walk against the bounds-checked one on arbitrary grids,
+# origins, headings and ranges.
 go test -run FuzzVariantParsing -fuzz FuzzVariantParsing -fuzztime 5s ./rtrbench
 go test -run FuzzIndoorMap -fuzz FuzzIndoorMap -fuzztime 5s ./internal/maps
 go test -race -run FuzzKDTreeNearest -fuzz FuzzKDTreeNearest -fuzztime 5s ./internal/kdtree
 go test -run FuzzHistogram -fuzz FuzzHistogram -fuzztime 5s ./internal/obs
+go test -run FuzzRaycastCells -fuzz FuzzRaycastCells -fuzztime 5s ./internal/grid
 
 echo "== benchdiff gate (interleaved A/A statistics + zero-alloc + ledger chain)"
 # The single perf regression gate. One -count 10 run of the hottest step
-# benchmarks and of srec's correspondence pass is split sample-by-sample into two interleaved
+# benchmarks, of srec's correspondence pass and of the grid raycast under
+# pfl is split sample-by-sample into two interleaved
 # rtrbench.bench/v2 half-snapshots (benchjson -split) — an A/A comparison
 # on identical code where slow machine drift (thermal state, background
 # load) lands evenly on both halves instead of separating them.
 # cmd/benchdiff compares the halves with the Mann-Whitney U test and must
 # pass: the significance test plus the -threshold noise floor suppress
 # pure noise. The same invocation folds in the old alloc gate: -zeroalloc
-# pins the steady-state step benchmarks and the correspondence pass to
-# exactly 0 allocs/op (the benchmarks also assert this themselves via
+# pins the steady-state step benchmarks, the correspondence pass and the
+# raycast to exactly 0 allocs/op (the benchmarks also assert this themselves via
 # b.Fatalf), and any allocs/op
 # growth between the halves is a deterministic regression. Finally the
 # two snapshots are chained into a throwaway ledger and the hash chain
@@ -234,8 +238,9 @@ echo "== benchdiff gate (interleaved A/A statistics + zero-alloc + ledger chain)
     go test -run '^$' -bench '^BenchmarkEKFSLAMStep$' -benchtime 10x -count 10 -benchmem ./internal/core/ekfslam
     go test -run '^$' -bench '^BenchmarkPFLStep$' -benchtime 10x -count 10 -benchmem ./internal/core/pfl
     go test -run '^$' -bench '^BenchmarkICPCorrespondence$' -benchtime 10x -count 10 -benchmem ./internal/core/srec
+    go test -run '^$' -bench '^BenchmarkRaycast$' -benchtime 1000x -count 10 -benchmem ./internal/grid
 } | go run ./cmd/benchjson -date ci -goldens rtrbench/testdata/golden -split "$benchtmp/a.json,$benchtmp/b.json"
-go run ./cmd/benchdiff -threshold 10 -zeroalloc 'Step$|Correspondence$' "$benchtmp/a.json" "$benchtmp/b.json"
+go run ./cmd/benchdiff -threshold 10 -zeroalloc 'Step$|Correspondence$|Raycast$' "$benchtmp/a.json" "$benchtmp/b.json"
 go run ./cmd/benchdiff -ledger append -ledger-file "$benchtmp/ledger.jsonl" -note "ci A" "$benchtmp/a.json"
 go run ./cmd/benchdiff -ledger append -ledger-file "$benchtmp/ledger.jsonl" -note "ci B" "$benchtmp/b.json"
 go run ./cmd/benchdiff -ledger verify -ledger-file "$benchtmp/ledger.jsonl"
