@@ -349,7 +349,7 @@ func runMovtarSweep(opts rtrbench.Options) {
 		sizes = append(sizes, 512)
 	}
 	fmt.Println("movtar: heuristic share vs environment size")
-	fmt.Printf("%-8s %12s %10s %10s %10s\n", "size", "ROI", "heur%", "search%", "expanded")
+	fmt.Printf("%-8s %12s %10s %10s %10s %6s %12s\n", "size", "ROI", "heur%", "search%", "expanded", "catch", "cost")
 	for _, s := range sizes {
 		cfg := movtar.DefaultConfig()
 		cfg.Size = s
@@ -361,9 +361,10 @@ func runMovtarSweep(opts rtrbench.Options) {
 			continue
 		}
 		rep := p.Snapshot()
-		fmt.Printf("%-8d %12v %9.1f%% %9.1f%% %10d\n",
+		fmt.Printf("%-8d %12v %9.1f%% %9.1f%% %10d %6d %12.6f\n",
 			s, rep.ROI.Round(time.Microsecond),
-			100*rep.Fraction("heuristic"), 100*rep.Fraction("search"), r.Expanded)
+			100*rep.Fraction("heuristic"), 100*rep.Fraction("search"), r.Expanded,
+			r.CatchTime, r.PathCost)
 	}
 }
 

@@ -43,7 +43,8 @@ type Config struct {
 	Seed    int64
 }
 
-// Validate reports every bound and finiteness violation in the config.
+// Validate reports every bound and finiteness violation in the config,
+// including a synthetic terrain too large for the space-time search.
 func (c Config) Validate() error {
 	f := check.New("movtar")
 	if math.IsNaN(c.Epsilon) || math.IsInf(c.Epsilon, 0) || c.Epsilon < 1 {
@@ -52,7 +53,26 @@ func (c Config) Validate() error {
 	f.NonNegativeInt("Size", c.Size)
 	f.NonNegativeInt("TargetPeriod", c.TargetPeriod)
 	f.NonNegativeInt("MaxTime", c.MaxTime)
+	if c.Terrain == nil && c.Size > 0 {
+		if v := minStates(c.Size, c.TargetPeriod, c.MaxTime); v > float64(search.MaxStates) {
+			f.Addf("Size %d needs at least %.4g space-time states, more than the %d the search can address",
+				c.Size, v, search.MaxStates)
+		}
+	}
 	return f.Err()
+}
+
+// minStates is a lower bound on the space-time volume W·H·T of the default
+// terrain of edge n: without an explicit MaxTime the horizon is at least a
+// map crossing plus one target step (see Run).
+func minStates(n, period, maxTime int) float64 {
+	if maxTime <= 0 {
+		if period <= 0 {
+			period = 2
+		}
+		maxTime = 2*n + period
+	}
+	return float64(n) * float64(n) * float64(maxTime)
 }
 
 // DefaultConfig returns a mid-sized pursuit problem.
@@ -87,6 +107,9 @@ func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error)
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
 	terrain := cfg.Terrain
 	if terrain == nil {
 		size := cfg.Size
@@ -95,19 +118,65 @@ func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error)
 		}
 		terrain = maps.MovtarTerrain(size, size, cfg.Seed)
 	}
-	if err := cfg.Validate(); err != nil {
+	pu, err := newPursuit(terrain, cfg.TargetPeriod, cfg.MaxTime)
+	if err != nil {
 		return Result{}, err
 	}
-	period := cfg.TargetPeriod
+	res := Result{TargetPathLen: len(pu.targetPath)}
+
+	prof.BeginROI()
+
+	prof.Begin("heuristic")
+	hField, cells, err := pu.heuristic(ctx)
+	res.HeuristicCells = cells
+	prof.End()
+	if err != nil {
+		prof.EndROI()
+		return res, err
+	}
+	if math.IsInf(hField[pu.start], 1) {
+		prof.EndROI()
+		return res, errors.New("movtar: robot start cannot reach the target trajectory")
+	}
+
+	prof.Begin("search")
+	sr, serr := pu.search(ctx, hField, cfg.Epsilon)
+	prof.End()
+	prof.StepDone()
+	prof.EndROI()
+
+	res.Found = sr.Found
+	res.Expanded = sr.Expanded
+	if sr.Found {
+		res.PathCost = sr.Cost
+		res.CatchTime = sr.Path[len(sr.Path)-1] / (terrain.W * terrain.H)
+	}
+	if serr != nil {
+		return res, serr
+	}
+	return res, nil
+}
+
+// pursuit is one interception problem: the terrain, the target's route, the
+// robot's start cell and the planning horizon.
+type pursuit struct {
+	cspace     *search.CostGrid2DSpace
+	targetPath []int
+	period     int
+	start      int
+	maxTime    int
+}
+
+// newPursuit plans the target's route and fixes the horizon. The target
+// walks a minimum-cost route along the far side of the map (away from the
+// robot's corner), computed on the same terrain, then waits at its
+// destination. The robot must chase across the map, so interception effort
+// scales with the environment.
+func newPursuit(terrain *grid.CostGrid2D, period, maxTime int) (*pursuit, error) {
 	if period <= 0 {
 		period = 2
 	}
 	w, h := terrain.W, terrain.H
-
-	// The target walks a minimum-cost route along the far side of the map
-	// (away from the robot's corner), computed on the same terrain, then
-	// waits at its destination. The robot must chase across the map, so
-	// interception effort scales with the environment.
 	cspace := &search.CostGrid2DSpace{C: terrain}
 	tStart := passableNear(terrain, w-2, 1)
 	tGoal := passableNear(terrain, w-2, h-2)
@@ -117,48 +186,43 @@ func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error)
 		Goal:  cspace.ID(tGoal[0], tGoal[1]),
 	})
 	if err != nil {
-		return Result{}, errors.New("movtar: could not build a target trajectory")
+		return nil, errors.New("movtar: could not build a target trajectory")
 	}
-	targetPath := tr.Path
-
-	robotStart := passableNear(terrain, 1, 1)
-
-	maxTime := cfg.MaxTime
 	if maxTime <= 0 {
 		// The robot is `period`× faster than the target, so chasing it to
 		// the end of its route plus a map crossing always suffices.
-		maxTime = period*len(targetPath) + (w + h)
+		maxTime = period*len(tr.Path) + (w + h)
 	}
+	rs := passableNear(terrain, 1, 1)
+	return &pursuit{
+		cspace: cspace, targetPath: tr.Path,
+		period: period, start: cspace.ID(rs[0], rs[1]), maxTime: maxTime,
+	}, nil
+}
 
-	res := Result{TargetPathLen: len(targetPath)}
-
-	prof.BeginROI()
-
-	// --- Backward Dijkstra heuristic: minimum traversal cost from every
-	// cell to any cell the target ever visits (multi-source).
-	prof.Begin("heuristic")
-	hField := make([]float64, w*h)
+// heuristic runs the backward Dijkstra pass: the minimum traversal cost from
+// every cell to any cell the target ever visits (multi-source). It returns
+// the field and the number of cells settled.
+func (pu *pursuit) heuristic(ctx context.Context) ([]float64, int, error) {
+	cspace := pu.cspace
+	hField := make([]float64, cspace.NumStates())
 	for i := range hField {
 		hField[i] = math.Inf(1)
 	}
-	open := pq.NewIndexedHeap(1024)
-	for _, id := range targetPath {
+	open := pq.NewIndexedHeap(cspace.NumStates())
+	for _, id := range pu.targetPath {
 		hField[id] = 0
 		open.Update(id, 0)
 	}
+	cells := 0
 	for open.Len() > 0 {
-		if res.HeuristicCells%4096 == 0 {
+		if cells%4096 == 0 {
 			if err := ctx.Err(); err != nil {
-				prof.End()
-				prof.EndROI()
-				return res, err
+				return hField, cells, err
 			}
 		}
 		id, d := open.Pop()
-		if d > hField[id] {
-			continue
-		}
-		res.HeuristicCells++
+		cells++
 		cspace.Neighbors(id, func(to int, cost float64) {
 			if nd := d + cost; nd < hField[to] {
 				hField[to] = nd
@@ -166,74 +230,40 @@ func Run(ctx context.Context, cfg Config, prof *profile.Profile) (Result, error)
 			}
 		})
 	}
-	prof.End()
+	return hField, cells, nil
+}
 
-	if math.IsInf(hField[cspace.ID(robotStart[0], robotStart[1])], 1) {
-		prof.EndROI()
-		return res, errors.New("movtar: robot start cannot reach the target trajectory")
-	}
-
-	// --- Space-time Weighted A*: state = (x, y, t). The robot moves
-	// 8-connected or waits; the target advances every `period` steps.
+// search runs the space-time Weighted A*: state = (x, y, t). The robot moves
+// 8-connected or waits; the target advances every `period` steps.
+func (pu *pursuit) search(ctx context.Context, hField []float64, eps float64) (search.Result, error) {
+	plane := pu.cspace.NumStates()
 	targetAt := func(t int) int {
-		i := t / period
-		if i >= len(targetPath) {
-			i = len(targetPath) - 1
+		i := t / pu.period
+		if i >= len(pu.targetPath) {
+			i = len(pu.targetPath) - 1
 		}
-		return targetPath[i]
+		return pu.targetPath[i]
 	}
-	space := &pursuitSpace{terrain: terrain, maxTime: maxTime}
-	// Dense search bookkeeping is dramatically faster but needs one slot
-	// per space-time state; fall back to sparse maps on big problems.
-	// The dense book commits only the pages the search touches, so the
-	// threshold guards address-space use, not resident memory.
-	if states := w * h * maxTime; states <= 64<<20 {
-		space.states = states
-	}
-	heur := func(id int) float64 {
-		cell := id % (w * h)
-		return hField[cell]
-	}
-	isGoal := func(id int) bool {
-		t := id / (w * h)
-		return id%(w*h) == targetAt(t)
-	}
-
-	prof.Begin("search")
-	sr, serr := search.Solve(search.Problem{
-		Space:  space,
-		Start:  cspace.ID(robotStart[0], robotStart[1]), // t = 0
-		IsGoal: isGoal,
-		H:      heur,
-		Weight: cfg.Epsilon,
+	return search.Solve(search.Problem{
+		Space: &pursuitSpace{terrain: pu.cspace.C, maxTime: pu.maxTime},
+		Start: pu.start, // t = 0
+		IsGoal: func(id int) bool {
+			return id%plane == targetAt(id/plane)
+		},
+		H:      func(id int) float64 { return hField[id%plane] },
+		Weight: eps,
 		Ctx:    ctx,
 	})
-	prof.End()
-	prof.StepDone()
-	prof.EndROI()
-
-	res.Found = sr.Found
-	res.Expanded = sr.Expanded
-	if sr.Found {
-		res.PathCost = sr.Cost
-		res.CatchTime = sr.Path[len(sr.Path)-1] / (w * h)
-	}
-	if serr != nil {
-		return res, serr
-	}
-	return res, nil
 }
 
 // pursuitSpace is the space-time graph: id = t*(W*H) + y*W + x.
 type pursuitSpace struct {
 	terrain *grid.CostGrid2D
 	maxTime int
-	states  int // dense state count, 0 = use sparse bookkeeping
 }
 
-// NumStates implements search.Sized when the space-time volume fits in
-// dense bookkeeping.
-func (s *pursuitSpace) NumStates() int { return s.states }
+// NumStates implements search.Sized: the space-time volume W·H·maxTime.
+func (s *pursuitSpace) NumStates() int { return s.terrain.W * s.terrain.H * s.maxTime }
 
 // Neighbors implements search.Space. Waiting costs the cell's own traversal
 // cost (time is never free), moves cost step length times the destination

@@ -2,10 +2,14 @@ package movtar
 
 import (
 	"context"
+	"errors"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/grid"
 	"repro/internal/profile"
+	"repro/internal/search"
 )
 
 func smallConfig() Config {
@@ -100,6 +104,28 @@ func TestCustomTerrain(t *testing.T) {
 	}
 }
 
+func TestSpaceTimeVolumeBound(t *testing.T) {
+	// A synthetic terrain whose space-time volume must pass 2³²−1 states
+	// is rejected before it is built.
+	cfg := DefaultConfig()
+	cfg.Size = 2000
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "space-time states") {
+		t.Fatalf("Size 2000 validated: %v", err)
+	}
+	cfg.Size = 384
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Size 384 rejected: %v", err)
+	}
+	// A custom terrain with a horizon past the bound reaches the search,
+	// which refuses it before allocating any bookkeeping.
+	cfg = DefaultConfig()
+	cfg.Terrain = grid.NewCostGrid2D(64, 64, 1)
+	cfg.MaxTime = 1 << 20
+	if _, err := Run(context.Background(), cfg, nil); !errors.Is(err, search.ErrTooManyStates) {
+		t.Fatalf("err = %v, want search.ErrTooManyStates", err)
+	}
+}
+
 func TestInvalidEpsilon(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Epsilon = 0.5
@@ -122,5 +148,29 @@ func TestMaxTimeTooShortFails(t *testing.T) {
 	res, err := Run(context.Background(), cfg, nil)
 	if err == nil && res.Found {
 		t.Fatal("caught the target within an impossible horizon")
+	}
+}
+
+// TestSearchAllocatesPerTouchedState checks the mechanism that keeps
+// movtar's memory small in a long-lived process: the search allocates its
+// bookkeeping per state it touches, on pages, not per state of the
+// space-time volume. Flat per-state arrays (17 B a state) cost nothing on
+// fresh OS pages, but a warm process (a sweep, the daemon) hands them
+// reused spans that the runtime zeroes, committing every page. At
+// SizeSmall the whole run must allocate under a quarter of such arrays.
+func TestSearchAllocatesPerTouchedState(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Size = 96
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(context.Background(), cfg, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil || !res.Found {
+		t.Fatalf("run failed: %v", err)
+	}
+	maxTime := cfg.TargetPeriod*res.TargetPathLen + 2*cfg.Size
+	dense := 17 * uint64(cfg.Size*cfg.Size*maxTime)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= dense/4 {
+		t.Fatalf("run allocated %d B, want < %d (a quarter of %d B of per-state arrays)", got, dense/4, dense)
 	}
 }

@@ -475,7 +475,8 @@ func (s *state) step(prof *profile.Profile) {
 
 	// -- Measurement update.
 	if cfg.Workers > 0 {
-		// Wall time of the whole fan-out is attributed to "raycast" on
+		// Wall time of the whole fan-out is attributed to weigh's phase
+		// ("raycast", or "weight" for the likelihood-field ablation) on
 		// the main profile (per-worker phase times would sum past the
 		// ROI); workers run with profiling off.
 		workers := cfg.Workers
@@ -489,7 +490,11 @@ func (s *state) step(prof *profile.Profile) {
 		for i := range s.shards {
 			s.shards[i] = wshard{}
 		}
-		prof.Begin("raycast")
+		if cfg.LikelihoodField {
+			prof.Begin("weight")
+		} else {
+			prof.Begin("raycast")
+		}
 		for w := 0; w < workers; w++ {
 			lo := w * chunk
 			hi := lo + chunk

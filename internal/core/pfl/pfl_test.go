@@ -227,32 +227,42 @@ func TestSensorDropoutTolerated(t *testing.T) {
 }
 
 func TestLikelihoodFieldAblation(t *testing.T) {
-	cfg := trackingConfig()
-	cfg.LikelihoodField = true
-	p := profile.New()
-	res, err := Run(context.Background(), cfg, p)
-	if err != nil {
-		t.Fatal(err)
+	// The serial and the parallel measurement update attribute the
+	// ablation's endpoint scoring to the same phase.
+	dominant := map[int]string{}
+	for _, workers := range []int{0, 2} {
+		cfg := trackingConfig()
+		cfg.LikelihoodField = true
+		cfg.Workers = workers
+		p := profile.New()
+		res, err := Run(context.Background(), cfg, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Still localizes...
+		if res.PositionError > 1.5 {
+			t.Fatalf("workers=%d: likelihood-field tracking error %.2f m", workers, res.PositionError)
+		}
+		// ...but the ray-casting bottleneck is gone.
+		if res.Raycasts != 0 {
+			t.Fatalf("workers=%d: likelihood field still cast %d rays", workers, res.Raycasts)
+		}
+		rep := p.Snapshot()
+		if ph, _ := rep.Phase("raycast"); ph.Calls != 0 {
+			t.Fatalf("workers=%d: %d raycast phases without a ray cast", workers, ph.Calls)
+		}
+		if rep.Fraction("weight") <= 0 {
+			t.Fatalf("workers=%d: weight phase missing", workers)
+		}
+		// One weight phase for the endpoint scoring of each step and one
+		// for each normalize.
+		if ph, _ := rep.Phase("weight"); ph.Calls != int64(2*cfg.Steps) {
+			t.Fatalf("workers=%d: weight phase calls = %d, want %d", workers, ph.Calls, 2*cfg.Steps)
+		}
+		dominant[workers] = rep.Dominant()
 	}
-	// Still localizes...
-	if res.PositionError > 1.5 {
-		t.Fatalf("likelihood-field tracking error %.2f m", res.PositionError)
-	}
-	// ...but the ray-casting bottleneck is gone.
-	if res.Raycasts != 0 {
-		t.Fatalf("likelihood field still cast %d rays", res.Raycasts)
-	}
-	rep := p.Snapshot()
-	if rep.Fraction("raycast") > 0.01 {
-		t.Fatalf("raycast still %.2f of ROI", rep.Fraction("raycast"))
-	}
-	if rep.Fraction("weight") <= 0 {
-		t.Fatal("weight phase missing")
-	}
-	// One weight phase for the endpoint scoring of each weigh call and
-	// one for each normalize.
-	if ph, _ := rep.Phase("weight"); ph.Calls != int64(2*cfg.Steps) {
-		t.Fatalf("weight phase calls = %d, want %d", ph.Calls, 2*cfg.Steps)
+	if dominant[0] != dominant[2] {
+		t.Fatalf("dominant phase %q serial, %q at workers=2", dominant[0], dominant[2])
 	}
 }
 

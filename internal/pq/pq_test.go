@@ -48,7 +48,7 @@ func TestIndexedHeapDecreaseKey(t *testing.T) {
 }
 
 func TestIndexedHeapUpdateInsertsWhenAbsent(t *testing.T) {
-	h := NewIndexedHeap(2)
+	h := NewIndexedHeap(16)
 	h.Update(7, 3.5)
 	if !h.Contains(7) {
 		t.Fatal("Update did not insert")
@@ -86,7 +86,7 @@ func TestIndexedHeapMixedOpsProperty(t *testing.T) {
 	// non-decreasing as long as no later update lowers below a prior pop.
 	if err := quick.Check(func(seed int64) bool {
 		r := rng.New(seed)
-		h := NewIndexedHeap(8)
+		h := NewIndexedHeap(500)
 		present := map[int]bool{}
 		next := 0
 		lastPopped := -1e18
@@ -176,42 +176,136 @@ func TestGenericHeapRandomProperty(t *testing.T) {
 }
 
 func TestIndexedHeapReset(t *testing.T) {
-	for _, dense := range []bool{false, true} {
-		var h *IndexedHeap
-		if dense {
-			h = NewIndexedHeapDense(64)
-		} else {
-			h = NewIndexedHeap(8)
+	// Items on three pages, so Reset must clear every touched page.
+	const n = 3 * pageSize
+	h := NewIndexedHeap(n)
+	items := []int{0, 5, pageSize - 1, pageSize, 2*pageSize + 7, n - 1}
+	for i, it := range items {
+		h.Push(it, float64(len(items)-i))
+		h.Rec(it).G = 1
+		h.Rec(it).Parent = 9
+	}
+	h.Pop()
+	h.Rec(n - 1).Close()
+	h.Reset()
+	if h.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", h.Len())
+	}
+	for _, it := range items {
+		if h.Contains(it) {
+			t.Fatalf("item %d still present after Reset", it)
 		}
-		for i := 0; i < 32; i++ {
-			h.Push(i, float64(63-i))
+		if r := h.Rec(it); *r != (Record{}) {
+			t.Fatalf("item %d record %+v survived Reset", it, *r)
 		}
-		h.Reset()
-		if h.Len() != 0 {
-			t.Fatalf("dense=%v: Len after Reset = %d", dense, h.Len())
+	}
+	// The heap must be fully usable again, including re-pushing the
+	// same items, and stay allocation-free within retained capacity and
+	// touched pages.
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, it := range items {
+			h.Push(it, float64(it%7))
 		}
-		for i := 0; i < 32; i++ {
-			if h.Contains(i) {
-				t.Fatalf("dense=%v: item %d still present after Reset", dense, i)
+		for h.Len() > 0 {
+			h.Pop()
+		}
+	}); allocs != 0 {
+		t.Errorf("reused heap allocates %v per episode", allocs)
+	}
+	h.Push(3, 1.5)
+	h.Push(1, 0.5)
+	if item, _ := h.Pop(); item != 1 {
+		t.Fatalf("Pop after Reset = %d, want 1", item)
+	}
+}
+
+func TestIndexedHeapPageBoundaries(t *testing.T) {
+	// Items straddling page edges, the last item of a universe that ends
+	// mid-page, and a universe of exactly one page all keep their own
+	// records and come out in priority order.
+	for _, n := range []int{1, pageSize, pageSize + 1, 3*pageSize - 5} {
+		h := NewIndexedHeap(n)
+		var items []int
+		for _, it := range []int{0, pageSize - 1, pageSize, 2*pageSize - 1, 2 * pageSize, n - 1} {
+			if it < n && !h.Contains(it) {
+				h.Push(it, float64(n-it))
+				h.Rec(it).G = float64(it)
+				items = append(items, it)
 			}
 		}
-		// The heap must be fully usable again, including re-pushing the
-		// same items, and stay allocation-free within retained capacity.
-		if allocs := testing.AllocsPerRun(100, func() {
-			for i := 0; i < 32; i++ {
-				h.Push(i, float64(i%7))
+		for i := len(items) - 1; i >= 0; i-- {
+			it, p := h.Pop()
+			if it != items[i] || p != float64(n-it) {
+				t.Fatalf("n=%d: Pop = (%d, %v), want item %d", n, it, p, items[i])
 			}
-			for h.Len() > 0 {
-				h.Pop()
+			if h.Rec(it).G != float64(it) {
+				t.Fatalf("n=%d: item %d record G = %v", n, it, h.Rec(it).G)
 			}
-		}); dense && allocs != 0 {
-			t.Errorf("dense=%v: reused heap allocates %v per episode", dense, allocs)
 		}
-		h.Push(3, 1.5)
-		h.Push(1, 0.5)
-		if item, _ := h.Pop(); item != 1 {
-			t.Fatalf("dense=%v: Pop after Reset = %d, want 1", dense, item)
+		if h.Contains(n-1) || h.Len() != 0 {
+			t.Fatalf("n=%d: heap not empty after draining", n)
 		}
+	}
+}
+
+func TestIndexedHeapUntouchedPagesStayUnallocated(t *testing.T) {
+	h := NewIndexedHeap(64 * pageSize)
+	if h.Contains(40*pageSize) || h.lookup(40*pageSize) != nil {
+		t.Fatal("querying an item allocated its page")
+	}
+	h.Update(40*pageSize+3, 1)
+	pages := 0
+	for _, p := range h.dir {
+		if p != nil {
+			pages++
+		}
+	}
+	if pages != 1 {
+		t.Fatalf("one touched item allocated %d pages, want 1", pages)
+	}
+}
+
+func TestIndexedHeapClosedRecords(t *testing.T) {
+	h := NewIndexedHeap(8)
+	h.Push(2, 1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Close of a queued item did not panic")
+			}
+		}()
+		h.Rec(2).Close()
+	}()
+	h.Pop()
+	r := h.Rec(2)
+	r.Close()
+	if !r.Closed() || h.Contains(2) {
+		t.Fatal("popped and closed item not reported closed")
+	}
+	r.Reopen()
+	if r.Closed() {
+		t.Fatal("Reopen left the item closed")
+	}
+	r.Close()
+	h.Update(2, 4) // pushing a closed item reopens it
+	if r.Closed() || !h.Contains(2) {
+		t.Fatal("Update did not requeue a closed item")
+	}
+	if p, ok := h.Priority(2); !ok || p != 4 {
+		t.Fatalf("Priority = (%v, %v), want (4, true)", p, ok)
+	}
+}
+
+func TestIndexedHeapUniverseBounds(t *testing.T) {
+	for _, n := range []int{-1, int(MaxUniverse + 1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewIndexedHeap(%d) did not panic", n)
+				}
+			}()
+			NewIndexedHeap(n)
+		}()
 	}
 }
 

@@ -27,11 +27,12 @@ type AnytimeResult struct {
 // (1.0 for optimal). The problem's IsGoal must be nil (ARA* needs a
 // concrete goal state to track f(goal)).
 func SolveAnytime(p Problem, schedule []float64) ([]AnytimeResult, error) {
-	if p.Space == nil {
-		panic("search: nil Space")
-	}
 	if p.IsGoal != nil {
 		panic("search: SolveAnytime requires a concrete Goal, not IsGoal")
+	}
+	open, err := newOpen(p.Space)
+	if err != nil {
+		return nil, err
 	}
 	if len(schedule) == 0 {
 		schedule = []float64{1}
@@ -41,23 +42,12 @@ func SolveAnytime(p Problem, schedule []float64) ([]AnytimeResult, error) {
 		h = func(int) float64 { return 0 }
 	}
 
-	var book bookkeeping
-	var open *pq.IndexedHeap
-	if s, ok := p.Space.(Sized); ok && s.NumStates() > 0 {
-		book = newDenseBook(s.NumStates())
-		open = pq.NewIndexedHeapDense(s.NumStates())
-	} else {
-		book = newSparseBook()
-		open = pq.NewIndexedHeap(64)
-	}
+	open.Rec(p.Start).Parent = uint32(p.Start) + 1 // the start is its own parent
 
-	book.setG(p.Start, 0)
-	book.setParent(p.Start, p.Start)
-
-	goal := p.Goal
+	goal := open.Rec(p.Goal)
 	gGoal := func() float64 {
-		if v, ok := book.gOk(goal); ok {
-			return v
+		if goal.Parent != 0 {
+			return goal.G
 		}
 		return math.Inf(1)
 	}
@@ -66,14 +56,39 @@ func SolveAnytime(p Problem, schedule []float64) ([]AnytimeResult, error) {
 	// incons collects locally inconsistent states discovered while closed;
 	// they re-enter OPEN at the next ε.
 	var incons []int
-	// closedRound marks states closed in the current improvement round.
-	closedRound := map[int]int{}
-	round := 0
+	// closed lists the states closed in the current improvement round; the
+	// next round reopens them.
+	var closed []int
+
+	// One relax closure for the whole search (see Solve).
+	var gid, eps float64
+	var parent uint32
+	relax := func(to int, cost float64) {
+		if cost < 0 {
+			panic("search: negative edge cost")
+		}
+		ng := gid + cost
+		t := open.Rec(to)
+		if t.Parent != 0 && t.G <= ng {
+			return
+		}
+		t.G = ng
+		t.Parent = parent
+		if t.Closed() {
+			// Locally inconsistent: defer to the next round.
+			incons = append(incons, to)
+			return
+		}
+		open.Update(to, ng+eps*h(to))
+	}
 
 	open.Push(p.Start, schedule[0]*h(p.Start))
 
-	for _, eps := range schedule {
-		round++
+	for _, eps = range schedule {
+		for _, id := range closed {
+			open.Rec(id).Reopen()
+		}
+		closed = closed[:0]
 		// Re-prioritize OPEN under the new ε and merge INCONS into it.
 		for _, id := range incons {
 			if !open.Contains(id) {
@@ -81,7 +96,7 @@ func SolveAnytime(p Problem, schedule []float64) ([]AnytimeResult, error) {
 			}
 		}
 		incons = incons[:0]
-		reprioritize(open, book, h, eps)
+		reprioritize(open, h, eps)
 
 		expanded := 0
 		for open.Len() > 0 {
@@ -96,30 +111,15 @@ func SolveAnytime(p Problem, schedule []float64) ([]AnytimeResult, error) {
 			if gGoal() <= minKey {
 				break
 			}
+			// A state closed this round is never queued again within it,
+			// so every pop is the round's first expansion of its state.
 			id, _ := open.Pop()
-			if closedRound[id] == round {
-				continue
-			}
-			closedRound[id] = round
+			r := open.Rec(id)
+			r.Close()
+			closed = append(closed, id)
 			expanded++
-			gid := book.g(id)
-			p.Space.Neighbors(id, func(to int, cost float64) {
-				if cost < 0 {
-					panic("search: negative edge cost")
-				}
-				ng := gid + cost
-				if old, ok := book.gOk(to); ok && old <= ng {
-					return
-				}
-				book.setG(to, ng)
-				book.setParent(to, id)
-				if closedRound[to] == round {
-					// Locally inconsistent: defer to the next round.
-					incons = append(incons, to)
-					return
-				}
-				open.Update(to, ng+eps*h(to))
-			})
+			gid, parent = r.G, uint32(id)+1
+			p.Space.Neighbors(id, relax)
 		}
 
 		if math.IsInf(gGoal(), 1) {
@@ -127,7 +127,7 @@ func SolveAnytime(p Problem, schedule []float64) ([]AnytimeResult, error) {
 		}
 		results = append(results, AnytimeResult{
 			Epsilon:  eps,
-			Path:     reconstruct(book, p.Start, goal),
+			Path:     reconstruct(open, p.Start, p.Goal),
 			Cost:     gGoal(),
 			Expanded: expanded,
 		})
@@ -135,17 +135,16 @@ func SolveAnytime(p Problem, schedule []float64) ([]AnytimeResult, error) {
 	return results, nil
 }
 
-// Peek is needed on the open list; pq.IndexedHeap stores the minimum at
-// slot 0 — expose it via a tiny helper here to keep pq's API small.
-func reprioritize(open *pq.IndexedHeap, book bookkeeping, h Heuristic, eps float64) {
-	// Rebuild by draining and re-pushing with the new priorities. O(n log n),
-	// amortized against the round's expansions.
+// reprioritize rebuilds OPEN under a new inflation by draining it and
+// re-pushing every state with its new priority. O(n log n), amortized
+// against the round's expansions.
+func reprioritize(open *pq.IndexedHeap, h Heuristic, eps float64) {
 	var ids []int
 	for open.Len() > 0 {
 		id, _ := open.Pop()
 		ids = append(ids, id)
 	}
 	for _, id := range ids {
-		open.Push(id, book.g(id)+eps*h(id))
+		open.Push(id, open.Rec(id).G+eps*h(id))
 	}
 }

@@ -186,5 +186,5 @@ func TestDStarRequiresSized(t *testing.T) {
 			t.Fatal("unsized space accepted")
 		}
 	}()
-	NewIncremental(lineGraph{5}, 0, 4, func(a, b int) float64 { return 0 })
+	NewIncremental(unsized{lineGraph{5}}, 0, 4, func(a, b int) float64 { return 0 })
 }

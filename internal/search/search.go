@@ -4,16 +4,18 @@
 // ε, per Pohl 1970), and the backward-Dijkstra heuristic field the
 // moving-target kernel precomputes "in an environment-aware manner".
 //
-// The search is generic over a Space: states are dense or sparse integer
-// IDs, successors are produced through a callback so that hot loops do not
-// allocate. Spaces that report their state count get slice-backed search
-// bookkeeping; unbounded spaces (the symbolic planner's implicit state
-// graph) fall back to maps.
+// The search is generic over a Space whose states are the integer IDs
+// [0, NumStates); successors are produced through a callback so that hot
+// loops do not allocate. The bookkeeping is one 16-byte pq.Record per state
+// the search touches (cost-so-far, parent, open/closed position), kept on
+// pages allocated on first touch, so its memory follows the states a search
+// reaches rather than the size of the space.
 package search
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 
 	"repro/internal/pq"
@@ -26,7 +28,7 @@ type Space interface {
 }
 
 // Sized is implemented by spaces with a known, dense state range [0, n).
-// Solve uses slice-backed bookkeeping for such spaces.
+// Every search in this package requires it.
 type Sized interface {
 	NumStates() int
 }
@@ -75,16 +77,26 @@ type Result struct {
 // ErrNoPath is returned when the goal is unreachable.
 var ErrNoPath = errors.New("search: no path to goal")
 
+// MaxStates is the largest state count a search can address: records keep
+// parents as 32-bit state IDs.
+const MaxStates = pq.MaxUniverse
+
+// ErrTooManyStates is returned for a space with more than MaxStates states.
+var ErrTooManyStates = errors.New("search: space too large")
+
 // ctxCheckStride bounds how stale a cancellation can go unnoticed: the
 // context is polled once per this many expansions, keeping the check off
 // the per-neighbor fast path while still aborting within microseconds.
 const ctxCheckStride = 1024
 
-// Solve runs best-first search on p. It returns ErrNoPath when the open list
-// empties (or MaxExpansions is hit) without reaching a goal state.
+// Solve runs best-first search on p, whose Space must be Sized. It returns
+// ErrNoPath when the open list empties (or MaxExpansions is hit) without
+// reaching a goal state, and ErrTooManyStates for a space of more than
+// MaxStates states.
 func Solve(p Problem) (Result, error) {
-	if p.Space == nil {
-		panic("search: nil Space")
+	open, err := newOpen(p.Space)
+	if err != nil {
+		return Result{}, err
 	}
 	isGoal := p.IsGoal
 	if isGoal == nil {
@@ -100,67 +112,76 @@ func Solve(p Problem) (Result, error) {
 		w = 1
 	}
 
-	var book bookkeeping
-	var open *pq.IndexedHeap
-	if s, ok := p.Space.(Sized); ok && s.NumStates() > 0 {
-		book = newDenseBook(s.NumStates())
-		open = pq.NewIndexedHeapDense(s.NumStates())
-	} else {
-		book = newSparseBook()
-		open = pq.NewIndexedHeap(64)
-	}
-	book.setG(p.Start, 0)
-	book.setParent(p.Start, p.Start)
+	open.Rec(p.Start).Parent = uint32(p.Start) + 1 // the start is its own parent
 	open.Push(p.Start, w*h(p.Start))
 
 	var res Result
+	// One relax closure for the whole search: a closure built per
+	// expansion escapes through the Space interface and allocates.
+	var gid float64
+	var parent uint32
+	relax := func(to int, cost float64) {
+		res.Genered++
+		if cost < 0 {
+			panic("search: negative edge cost")
+		}
+		t := open.Rec(to)
+		if t.Closed() {
+			return
+		}
+		ng := gid + cost
+		if t.Parent != 0 && t.G <= ng {
+			return
+		}
+		t.G = ng
+		t.Parent = parent
+		open.Update(to, ng+w*h(to))
+	}
 	for open.Len() > 0 {
 		if p.Ctx != nil && res.Expanded%ctxCheckStride == 0 {
 			if err := p.Ctx.Err(); err != nil {
 				return res, err
 			}
 		}
+		// Closed states are never queued again, so every pop is a first
+		// expansion.
 		id, _ := open.Pop()
-		if book.closed(id) {
-			continue
-		}
-		book.close(id)
+		r := open.Rec(id)
+		r.Close()
 		res.Expanded++
 
 		if isGoal(id) {
 			res.Found = true
-			res.Cost = book.g(id)
-			res.Path = reconstruct(book, p.Start, id)
+			res.Cost = r.G
+			res.Path = reconstruct(open, p.Start, id)
 			return res, nil
 		}
 		if p.MaxExpansions > 0 && res.Expanded >= p.MaxExpansions {
 			break
 		}
 
-		gid := book.g(id)
-		p.Space.Neighbors(id, func(to int, cost float64) {
-			res.Genered++
-			if cost < 0 {
-				panic("search: negative edge cost")
-			}
-			if book.closed(to) {
-				return
-			}
-			ng := gid + cost
-			if old, ok := book.gOk(to); ok && old <= ng {
-				return
-			}
-			book.setG(to, ng)
-			book.setParent(to, id)
-			open.Update(to, ng+w*h(to))
-		})
+		gid, parent = r.G, uint32(id)+1
+		p.Space.Neighbors(id, relax)
 	}
 	return res, ErrNoPath
 }
 
-func reconstruct(book bookkeeping, start, goal int) []int {
+// newOpen returns the open list, with one record per state, for a search
+// over sp. It panics if sp is not Sized: every space in the suite is.
+func newOpen(sp Space) (*pq.IndexedHeap, error) {
+	s, ok := sp.(Sized)
+	if !ok || s.NumStates() <= 0 {
+		panic("search: the search requires a Sized space")
+	}
+	if n := s.NumStates(); uint64(n) > MaxStates {
+		return nil, fmt.Errorf("%w: %d states, at most %d fit a 32-bit parent ID", ErrTooManyStates, n, MaxStates)
+	}
+	return pq.NewIndexedHeap(s.NumStates()), nil
+}
+
+func reconstruct(open *pq.IndexedHeap, start, goal int) []int {
 	var rev []int
-	for id := goal; ; id = book.parent(id) {
+	for id := goal; ; id = int(open.Rec(id).Parent) - 1 {
 		rev = append(rev, id)
 		if id == start {
 			break
@@ -171,78 +192,6 @@ func reconstruct(book bookkeeping, start, goal int) []int {
 	}
 	return rev
 }
-
-// bookkeeping abstracts dense (slice) vs sparse (map) search state.
-type bookkeeping interface {
-	g(id int) float64
-	gOk(id int) (float64, bool)
-	setG(id int, v float64)
-	parent(id int) int
-	setParent(id, p int)
-	closed(id int) bool
-	close(id int)
-}
-
-// denseBook keeps search state in flat arrays. All arrays are zero-value
-// initialized (the runtime hands back zeroed pages), so construction is
-// O(1) in touched memory: par uses 0 as "unvisited" and stores parent+1,
-// and gv is only meaningful where par != 0. Untouched pages are never
-// committed, so a dense book over a large state space costs only the
-// states the search actually visits.
-type denseBook struct {
-	gv      []float64
-	par     []uint32
-	closedB []bool
-}
-
-func newDenseBook(n int) *denseBook {
-	return &denseBook{
-		gv:      make([]float64, n),
-		par:     make([]uint32, n),
-		closedB: make([]bool, n),
-	}
-}
-
-func (b *denseBook) g(id int) float64 { return b.gv[id] }
-func (b *denseBook) gOk(id int) (float64, bool) {
-	if b.par[id] == 0 {
-		return 0, false
-	}
-	return b.gv[id], true
-}
-func (b *denseBook) setG(id int, v float64) { b.gv[id] = v }
-func (b *denseBook) parent(id int) int      { return int(b.par[id]) - 1 }
-func (b *denseBook) setParent(id, p int)    { b.par[id] = uint32(p + 1) }
-func (b *denseBook) closed(id int) bool     { return b.closedB[id] }
-func (b *denseBook) close(id int)           { b.closedB[id] = true }
-
-type sparseBook struct {
-	gv      map[int]float64
-	par     map[int]int
-	closedM map[int]struct{}
-}
-
-func newSparseBook() *sparseBook {
-	return &sparseBook{
-		gv:      make(map[int]float64),
-		par:     make(map[int]int),
-		closedM: make(map[int]struct{}),
-	}
-}
-
-func (b *sparseBook) g(id int) float64 { return b.gv[id] }
-func (b *sparseBook) gOk(id int) (float64, bool) {
-	v, ok := b.gv[id]
-	return v, ok
-}
-func (b *sparseBook) setG(id int, v float64) { b.gv[id] = v }
-func (b *sparseBook) parent(id int) int      { return b.par[id] }
-func (b *sparseBook) setParent(id, p int)    { b.par[id] = p }
-func (b *sparseBook) closed(id int) bool {
-	_, ok := b.closedM[id]
-	return ok
-}
-func (b *sparseBook) close(id int) { b.closedM[id] = struct{}{} }
 
 // DijkstraAll computes the cost of the cheapest path from source to every
 // reachable state of a sized space. Unreached states report +Inf.
@@ -261,14 +210,11 @@ func DijkstraAll(sp Space, source int) []float64 {
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
-	open := pq.NewIndexedHeap(256)
+	open := pq.NewIndexedHeap(n)
 	dist[source] = 0
 	open.Push(source, 0)
 	for open.Len() > 0 {
 		id, d := open.Pop()
-		if d > dist[id] {
-			continue
-		}
 		sp.Neighbors(id, func(to int, cost float64) {
 			nd := d + cost
 			if nd < dist[to] {

@@ -1,6 +1,7 @@
 package search
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,8 +10,10 @@ import (
 	"repro/internal/rng"
 )
 
-// lineGraph is a simple unsized (sparse-book) space: 0 - 1 - 2 - ... - n-1.
+// lineGraph is a simple space: 0 - 1 - 2 - ... - n-1.
 type lineGraph struct{ n int }
+
+func (l lineGraph) NumStates() int { return l.n }
 
 func (l lineGraph) Neighbors(id int, yield func(int, float64)) {
 	if id+1 < l.n {
@@ -110,32 +113,31 @@ func TestWeightedAStarBoundedSuboptimality(t *testing.T) {
 	}
 }
 
-func TestSparseAndDenseBookkeepingAgree(t *testing.T) {
-	// The same graph solved with a Sized space (dense book) and an
-	// anonymous wrapper (sparse book) must produce identical costs.
-	type wrapper struct{ Space } // hides NumStates
-	if err := quick.Check(func(seed int64) bool {
-		r := rng.New(seed)
-		g := grid.NewGrid2D(15, 15)
-		for i := 0; i < 60; i++ {
-			g.Set(r.Intn(15), r.Intn(15), true)
-		}
-		g.Set(0, 0, false)
-		g.Set(14, 14, false)
-		sp := &Grid2DSpace{G: g}
-		start, goal := sp.ID(0, 0), sp.ID(14, 14)
+func TestSolveRequiresSized(t *testing.T) {
+	for name, solve := range map[string]func(Problem){
+		"Solve":        func(p Problem) { Solve(p) },                      //nolint:errcheck
+		"SolveAnytime": func(p Problem) { SolveAnytime(p, []float64{1}) }, //nolint:errcheck
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s accepted an unsized space", name)
+				}
+			}()
+			solve(Problem{Space: unsized{lineGraph{5}}, Start: 0, Goal: 4})
+		}()
+	}
+}
 
-		dense, errD := Solve(Problem{Space: sp, Start: start, Goal: goal})
-		sparse, errS := Solve(Problem{Space: wrapper{sp}, Start: start, Goal: goal})
-		if (errD == nil) != (errS == nil) {
-			return false
-		}
-		if errD != nil {
-			return true
-		}
-		return math.Abs(dense.Cost-sparse.Cost) < 1e-9 && dense.Expanded == sparse.Expanded
-	}, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
+func TestSolveRejectsTooManyStates(t *testing.T) {
+	// One state past what a 32-bit parent ID can address; the check comes
+	// before any bookkeeping is allocated.
+	huge := sizedFunc{n: int(MaxStates + 1), f: func(int, func(int, float64)) {}}
+	if _, err := Solve(Problem{Space: huge, Start: 0, Goal: 1}); !errors.Is(err, ErrTooManyStates) {
+		t.Fatalf("Solve err = %v, want ErrTooManyStates", err)
+	}
+	if _, err := SolveAnytime(Problem{Space: huge, Start: 0, Goal: 1}, nil); !errors.Is(err, ErrTooManyStates) {
+		t.Fatalf("SolveAnytime err = %v, want ErrTooManyStates", err)
 	}
 }
 
@@ -167,17 +169,25 @@ func TestNegativeEdgePanics(t *testing.T) {
 			t.Fatal("negative edge cost did not panic")
 		}
 	}()
-	bad := spaceFunc(func(id int, yield func(int, float64)) {
+	bad := sizedFunc{n: 2, f: func(id int, yield func(int, float64)) {
 		if id == 0 {
 			yield(1, -1)
 		}
-	})
+	}}
 	Solve(Problem{Space: bad, Start: 0, Goal: 1}) //nolint:errcheck
 }
 
-type spaceFunc func(int, func(int, float64))
+// sizedFunc is a space of n states whose edges come from f.
+type sizedFunc struct {
+	n int
+	f func(int, func(int, float64))
+}
 
-func (f spaceFunc) Neighbors(id int, yield func(int, float64)) { f(id, yield) }
+func (s sizedFunc) NumStates() int                             { return s.n }
+func (s sizedFunc) Neighbors(id int, yield func(int, float64)) { s.f(id, yield) }
+
+// unsized hides a space's NumStates.
+type unsized struct{ Space }
 
 func TestDijkstraAllDistances(t *testing.T) {
 	g := grid.NewGrid2D(10, 10)

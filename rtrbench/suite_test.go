@@ -52,6 +52,9 @@ func TestInvalidVariants(t *testing.T) {
 	if _, err := Run("movtar", Options{Size: SizeSmall, Variant: "4"}); err == nil {
 		t.Error("movtar: variant size 4 accepted, want error (must be > 8)")
 	}
+	if err := Validate("movtar", Options{Variant: "2000"}); err == nil {
+		t.Error("movtar: variant size 2000 accepted, want error (space-time volume past 2^32-1 states)")
+	}
 }
 
 // TestRunContextCancelled checks a pre-cancelled context aborts every

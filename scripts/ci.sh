@@ -211,18 +211,21 @@ echo "== fuzz smoke"
 # comparison is exactly the kind of traversal code where a data race in the
 # shared candidate heap would hide. The raycast differential target checks
 # the countdown DDA walk against the bounds-checked one on arbitrary grids,
-# origins, headings and ranges.
+# origins, headings and ranges. The search differential target checks the
+# paged-record search against the frozen flat-array reference on random
+# cost grids, expansion order and ties included.
 go test -run FuzzVariantParsing -fuzz FuzzVariantParsing -fuzztime 5s ./rtrbench
 go test -run FuzzIndoorMap -fuzz FuzzIndoorMap -fuzztime 5s ./internal/maps
 go test -race -run FuzzKDTreeNearest -fuzz FuzzKDTreeNearest -fuzztime 5s ./internal/kdtree
 go test -run FuzzHistogram -fuzz FuzzHistogram -fuzztime 5s ./internal/obs
 go test -run FuzzRaycastCells -fuzz FuzzRaycastCells -fuzztime 5s ./internal/grid
+go test -run FuzzSolve -fuzz FuzzSolve -fuzztime 5s ./internal/search
 
 echo "== benchdiff gate (interleaved A/A statistics + zero-alloc + ledger chain)"
 # The single perf regression gate. One -count 10 run of the hottest step
-# benchmarks, of srec's correspondence pass and of the grid raycast under
-# pfl is split sample-by-sample into two interleaved
-# rtrbench.bench/v2 half-snapshots (benchjson -split) — an A/A comparison
+# benchmarks, of srec's correspondence pass, of the grid raycast under pfl
+# and of movtar's space-time search is split sample-by-sample into two
+# interleaved rtrbench.bench/v2 half-snapshots (benchjson -split) — an A/A comparison
 # on identical code where slow machine drift (thermal state, background
 # load) lands evenly on both halves instead of separating them.
 # cmd/benchdiff compares the halves with the Mann-Whitney U test and must
@@ -231,7 +234,10 @@ echo "== benchdiff gate (interleaved A/A statistics + zero-alloc + ledger chain)
 # pins the steady-state step benchmarks, the correspondence pass and the
 # raycast to exactly 0 allocs/op (the benchmarks also assert this themselves via
 # b.Fatalf), and any allocs/op
-# growth between the halves is a deterministic regression. Finally the
+# growth between the halves is a deterministic regression. The space-time
+# search runs without -benchmem: its allocation count moves by a few with
+# the number of garbage collections in the window, so it reports its
+# memory as B/expansion instead. Finally the
 # two snapshots are chained into a throwaway ledger and the hash chain
 # verified, exercising the append/verify path end to end.
 {
@@ -239,6 +245,7 @@ echo "== benchdiff gate (interleaved A/A statistics + zero-alloc + ledger chain)
     go test -run '^$' -bench '^BenchmarkPFLStep$' -benchtime 10x -count 10 -benchmem ./internal/core/pfl
     go test -run '^$' -bench '^BenchmarkICPCorrespondence$' -benchtime 10x -count 10 -benchmem ./internal/core/srec
     go test -run '^$' -bench '^BenchmarkRaycast$' -benchtime 1000x -count 10 -benchmem ./internal/grid
+    go test -run '^$' -bench '^BenchmarkSpaceTimeSearch$' -benchtime 10x -count 10 ./internal/core/movtar
 } | go run ./cmd/benchjson -date ci -goldens rtrbench/testdata/golden -split "$benchtmp/a.json,$benchtmp/b.json"
 go run ./cmd/benchdiff -threshold 10 -zeroalloc 'Step$|Correspondence$|Raycast$' "$benchtmp/a.json" "$benchtmp/b.json"
 go run ./cmd/benchdiff -ledger append -ledger-file "$benchtmp/ledger.jsonl" -note "ci A" "$benchtmp/a.json"
